@@ -4,9 +4,8 @@ The direct model builders (TAGS, shortest queue, ...) define a successor
 function ``succ(state) -> [(action, rate, next_state), ...]`` over plain
 tuples; :func:`bfs_generator` explores the reachable set and assembles a
 labelled :class:`~repro.ctmc.generator.Generator`.  This mirrors the PEPA
-exploration but skips the process-algebra overhead, which makes the
-parameter sweeps in the benchmarks ~50x faster while the test suite pins
-both constructions to each other.
+exploration without the process-algebra layer; the test suite pins both
+constructions to each other.
 
 :class:`ChainTemplate` is the evaluate-many companion: it freezes the
 reachability structure of one exploration (states, transition endpoints,

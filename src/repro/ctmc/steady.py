@@ -8,8 +8,11 @@ Several solvers are provided because they trade accuracy against scale:
     numerically exact to rounding even for stiff chains, but it densifies:
     O(n^3) time, O(n^2) memory.  Default for small chains.
 ``direct``
-    Sparse LU on the normalised system (one balance equation replaced by
-    the normalisation constraint).  Default for larger chains.
+    Sparse LU after anchoring one state: its probability is fixed
+    (``pi[anchor] = 1``), its row and column are deleted from the
+    balance equations, the reduced system is solved and the result
+    normalised.  Re-anchors at the most likely state when the first
+    solve fails the residual check.  Default for larger chains.
 ``power``
     Power iteration on the uniformized DTMC.
 ``gauss_seidel``

@@ -1,16 +1,16 @@
-"""The shared fault state machine both execution hosts drive.
+"""The fault state machine the TAGS node core consults.
 
 A :class:`FaultInjector` owns everything about a fault trace that must
 be *identical* between the offline simulator and the online runtime:
 which nodes are up, the current speed/arrival multipliers, the crash
 semantics (``on_crash``) and the degraded-mode policy (``degraded``).
-The hosts own their queues and job bookkeeping; they call
-:meth:`apply` when a plan event's time arrives and act on the returned
-directive (``"crash"``/``"recover"``/``None``), and they consult
-:meth:`suppress_timeout`, :attr:`up`, :attr:`speed_factor` and
+:class:`repro.sim.core.NodeCore` owns the queues and job bookkeeping:
+it calls :meth:`apply` when a driver delivers a plan event and acts on
+the returned directive (``"crash"``/``"recover"``/``None``), and it
+consults :meth:`suppress_timeout`, :attr:`up`, :attr:`speed_factor` and
 :attr:`arrival_factor` at every decision the fault state influences.
-Because both hosts run the same decision logic at the same model times
-with the same RNG stream, their per-job fault outcomes agree exactly
+Because both drivers run that one core at the same model times with
+the same RNG stream, their per-job fault outcomes agree exactly
 (``tests/serve/test_equivalence.py``).
 
 Crash semantics (``on_crash``)
@@ -50,7 +50,7 @@ detection and backoff latency.
 
 The injector also keeps the failure bookkeeping that does not depend on
 host internals: per-node downtime intervals (availability, MTTR) and
-crash/recovery counts.  One injector drives one run: hosts call
+crash/recovery counts.  One injector drives one run: the core calls
 :meth:`reset` when a run starts.
 """
 

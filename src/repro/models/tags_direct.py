@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.ctmc import action_throughput, steady_state
 from repro.dists.residual import h2_residual_mixing
-from repro.models._bfs import ChainTemplate, StructureMismatch, bfs_generator
+from repro.ctmc.bfs import ChainTemplate, StructureMismatch, bfs_generator
 from repro.models.metrics import QueueMetrics, from_population_and_throughput
 from repro.sweep.structure import structure_cache
 

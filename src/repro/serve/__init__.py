@@ -17,8 +17,10 @@ Pieces
   ``sim.runner``) and :class:`WallClock` (real time, optionally scaled).
 * :mod:`~repro.serve.loadgen` -- open-loop Poisson, MMPP/bursty and
   trace-replay sources, plus trace adapters for the offline simulator.
-* :mod:`~repro.serve.dispatcher` -- the runtime: per-node server tasks,
-  kill/forward semantics, live timeout swapping, obs instrumentation.
+* :mod:`~repro.serve.dispatcher` -- the runtime: an asyncio driver over
+  the simulator's node core (:mod:`repro.sim.core`) with per-node
+  server tasks, forward retries, live timeout swapping and obs
+  instrumentation.
 * :mod:`~repro.serve.controller` -- sliding-window estimation
   (``dists.fit`` with soft failure), ``approx.optimise_timeout``
   re-tuning, deadband hysteresis, full decision history.
@@ -51,7 +53,7 @@ from repro.serve.controller import (
     TimeoutController,
     fit_demands_soft,
 )
-from repro.serve.dispatcher import DispatchResult, DispatchRuntime, JobRecord
+from repro.serve.dispatcher import DispatchRuntime
 from repro.serve.loadgen import (
     MMPPLoad,
     PoissonLoad,
@@ -74,9 +76,7 @@ __all__ = [
     "ControlDecision",
     "TimeoutController",
     "fit_demands_soft",
-    "DispatchResult",
     "DispatchRuntime",
-    "JobRecord",
     "MMPPLoad",
     "PoissonLoad",
     "Trace",

@@ -1,46 +1,45 @@
-"""The online dispatcher runtime: policies from ``sim`` run as services.
+"""The online driver over the TAGS node core: policies from ``sim`` as services.
 
-:class:`DispatchRuntime` executes an allocation policy
-(:class:`~repro.sim.policies.TagsPolicy`, random, round-robin, JSQ --
-anything answering ``route``/``timeout``/``forward``) over bounded FCFS
-nodes as a set of cooperating asyncio tasks:
+:class:`DispatchRuntime` runs :class:`~repro.sim.core.NodeCore` -- the
+same state and rules :class:`~repro.sim.runner.Simulation` drives from
+an event heap -- as a set of cooperating asyncio tasks on a
+:class:`~repro.serve.clock.Clock`:
 
 * one **load-generator task** pulls ``(gap, demand)`` pairs from a
-  :mod:`~repro.serve.loadgen` source, sleeps the gap on the runtime's
-  :class:`~repro.serve.clock.Clock`, and admits the arrival (routing via
-  the policy; **drop-on-full** at the routed node);
-* one **server task per node** serves its queue head FCFS, racing the
-  policy's timeout sampler against the job's remaining wall time exactly
-  as ``sim.runner`` does: on a timeout the job is killed and forwarded
-  to ``policy.forward(node)`` (**drop-after-timeout** when that node is
-  full or absent), with restart-from-scratch or resume semantics chosen
-  by the policy's ``resume`` flag;
+  :mod:`~repro.serve.loadgen` source, sleeps the gap and hands the
+  arrival to the core's admission (routing; **drop-on-full**);
+* one **server task per node** asks the core to start its head job's
+  service race, sleeps the race's delay, then hands the outcome back:
+  a completion, or a kill whose job is forwarded to
+  ``policy.forward(node)`` (**drop-after-timeout** when that node is
+  full or absent);
 * optionally a **controller task** (:mod:`~repro.serve.controller`)
-  re-tunes the timeout from live observations.
+  re-tunes the timeout from the sliding windows this driver keeps.
 
-Under a :class:`~repro.serve.clock.VirtualClock` the runtime is a
-deterministic discrete-event program: ``tests/serve/test_equivalence.py``
-pins its per-job outcomes bit-for-bit to ``sim.runner.Simulation`` on a
-shared trace.  Under a :class:`~repro.serve.clock.WallClock` the same
-code serves in real time.
+The core decides every outcome; this module adds only what is
+genuinely online: tasks and the clock, forward retries and the
+circuit breaker, the supervisor, the controller's observation windows,
+``serve.job`` spans and queue-depth gauges.  Under a
+:class:`~repro.serve.clock.VirtualClock` the runtime is a deterministic
+discrete-event program whose per-job outcomes match ``Simulation`` on a
+shared trace (``tests/serve/test_equivalence.py``); under a
+:class:`~repro.serve.clock.WallClock` the same code serves in real time.
+A runtime runs once: a second :meth:`DispatchRuntime.run` raises.
 
 Instrumentation goes through :mod:`repro.obs` and is gated on
 ``recorder().enabled`` everywhere, so a disabled recorder costs one
 attribute check per event (the CI ``serve`` job benches off vs. on):
 per-job ``serve.job`` spans (virtual timestamps), queue-depth gauges,
-and end-of-run counters mirroring the simulator's.
+and end-of-run ``serve.*`` counters mirroring the simulator's.
 
 **Faults and resilience** (all off by default; the defaults leave the
 no-fault path bit-for-bit unchanged):
 
 * ``faults=`` replays a :class:`~repro.faults.FaultPlan` /
   :class:`~repro.faults.FaultInjector` -- the same object the simulator
-  accepts -- through a fault-driver task.  A crash cancels the node's
-  in-flight service race (per-node epochs mark the cancellation, as in
-  the simulator's stale-event skip), wastes the attempt's work, and
-  either holds the queue for recovery (``on_crash="requeue"``) or sheds
-  it (``"drop"``); arrivals and forwards to a down node are shed as
-  ``lost_to_failure``.
+  accepts -- through a fault-driver task.  The core applies a crash;
+  this driver also cancels the node's in-flight service sleep (the
+  bumped epoch tells the server task the race was voided).
 * ``supervisor=`` attaches a :class:`~repro.serve.supervisor.Supervisor`
   whose health-check/backoff loop performs restarts after a fault
   clears, so measured MTTR includes detection latency.
@@ -59,71 +58,24 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.faults.injector import FaultInjector
 from repro.serve.clock import Clock, VirtualClock
-from repro.sim.runner import SimulationResult
-from repro.sim.stats import TimeAverage
+from repro.sim.core import Job, NodeCore, SimulationResult
 
-__all__ = ["JobRecord", "DispatchResult", "DispatchRuntime"]
-
-
-@dataclass
-class JobRecord:
-    """One job's life in the runtime (also the queue entry)."""
-
-    job_id: int
-    arrival_time: float
-    demand: float
-    remaining: float | None = None
-    kills: int = 0
-    outcome: str | None = None  # completed / dropped_arrival / dropped_forward
-    node: int | None = None
-    finish_time: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.remaining is None:
-            self.remaining = self.demand
-
-    def outcome_tuple(self) -> tuple:
-        """``(outcome, node, kills)`` -- the equivalence-test currency."""
-        return (self.outcome, self.node, self.kills)
+__all__ = ["DispatchRuntime"]
 
 
-@dataclass
-class DispatchResult(SimulationResult):
-    """A :class:`~repro.sim.runner.SimulationResult` plus runtime extras.
-
-    ``jobs`` holds :class:`JobRecord` objects (richer than the
-    simulator's tuples); :meth:`job_outcomes` normalises both to the
-    same ``job_id -> (outcome, node, kills)`` mapping.
-    """
-
-    killed: int = 0
-    forwarded: int = 0
-
-    def job_outcomes(self) -> dict:
-        """``job_id -> (outcome, node, kills)`` for finished jobs."""
-        if self.jobs is None:
-            raise ValueError("run with record_jobs=True to keep job logs")
-        return {
-            j.job_id: j.outcome_tuple()
-            for j in self.jobs
-            if j.outcome is not None
-        }
-
-
-class DispatchRuntime:
+class DispatchRuntime(NodeCore):
     """Online dispatcher over bounded per-node queues.
 
     Parameters mirror :class:`~repro.sim.runner.Simulation` where they
-    overlap (``policy``, ``capacities``, ``speeds``, ``seed``/``rng``);
-    the workload comes from a load generator instead of separate
-    arrival/demand objects, and ``clock`` selects virtual or wall time.
+    overlap (``policy``, ``capacities``, ``speeds``, ``seed``/``rng``,
+    ``record_jobs``, ``faults``); the workload comes from a load
+    generator instead of separate arrival/demand objects, and ``clock``
+    selects virtual or wall time.
     """
 
     def __init__(
@@ -146,35 +98,21 @@ class DispatchRuntime:
         retry_jitter: float = 0.1,
         breaker=None,
     ) -> None:
+        super().__init__(
+            policy,
+            capacities,
+            speeds=speeds,
+            seed=seed,
+            rng=rng,
+            record_jobs=record_jobs,
+            faults=faults,
+        )
         self.loadgen = loadgen
-        self.policy = policy
-        self.capacities = tuple(int(k) for k in capacities)
-        if len(self.capacities) != policy.n_nodes():
-            raise ValueError(
-                f"policy expects {policy.n_nodes()} nodes, got "
-                f"{len(self.capacities)} capacities"
-            )
-        if min(self.capacities) < 1:
-            raise ValueError("capacities must be >= 1")
-        if speeds is None:
-            self.speeds = (1.0,) * len(self.capacities)
-        else:
-            self.speeds = tuple(float(s) for s in speeds)
-            if len(self.speeds) != len(self.capacities):
-                raise ValueError("need one speed per node")
-            if min(self.speeds) <= 0:
-                raise ValueError("speeds must be positive")
         self.clock = clock if clock is not None else VirtualClock()
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.controller = controller
-        self.record_jobs = record_jobs
         if gauge_interval <= 0:
             raise ValueError("gauge_interval must be positive")
         self.gauge_interval = float(gauge_interval)
-        if faults is None or isinstance(faults, FaultInjector):
-            self.faults = faults
-        else:
-            self.faults = FaultInjector(faults)
         self.supervisor = supervisor
         if supervisor is not None:
             if self.faults is None:
@@ -192,33 +130,16 @@ class DispatchRuntime:
         self.breaker = breaker
         # private stream: retry jitter must not perturb the workload rng
         self._resilience_rng = np.random.default_rng([seed, 0x7E5])
-        self._rec = obs.recorder()  # re-resolved at each arun()
 
         n = len(self.capacities)
-        self.queues: "list[deque]" = [deque() for _ in range(n)]
         self._wake = [None] * n  # asyncio.Events, created in arun
-        self.q_avg = [TimeAverage() for _ in range(n)]
-        self.offered = 0
-        self.completed = 0
-        self.killed = 0
-        self.forwarded = 0
-        self.dropped_arrival = 0
-        self.dropped_forward = 0
-        self.lost_to_failure = 0
-        self.work_wasted = 0.0
-        self._epoch = [0] * n
-        self._service_start: list = [None] * n  # (t0, speed, work) per attempt
         self._sleep_fut: list = [None] * n  # cancellable service race
         self._up_evt: list = [None] * n  # asyncio.Events, created in arun
         self._sup_wake = None  # supervisor wake event, created in arun
         self._inflight_forwards = 0  # jobs mid-retry, owned by no queue
-        self.responses: list = []
-        self.slowdowns: list = []
-        self.demands: list = []
-        self.jobs: "list[JobRecord]" = []
-        self._next_id = 0
         self._scheduled: list = []  # (delay, fn) buffered before arun
         self._running = False
+        self._started = False
         # sliding-window observations for the controller (pruned there)
         self.window_arrivals: deque = deque()
         self.window_completions: deque = deque()  # (time, demand)
@@ -260,9 +181,6 @@ class DispatchRuntime:
         return [len(q) for q in self.queues]
 
     # -- event handling -------------------------------------------------
-    def _note_queue(self, now: float, node: int) -> None:
-        self.q_avg[node].update(now, len(self.queues[node]))
-
     async def _sample_depths(self, rec, interval: float) -> None:
         """Periodic ``serve.queue_depth`` gauges.
 
@@ -276,10 +194,8 @@ class DispatchRuntime:
             for i, q in enumerate(self.queues):
                 rec.gauge("serve.queue_depth", len(q), node=i)
 
-    def _finish(self, job: JobRecord, now: float, outcome: str, node: int) -> None:
-        job.outcome = outcome
-        job.node = node
-        job.finish_time = now
+    def _finish(self, job: Job, now: float, outcome: str, node: int) -> None:
+        super()._finish(job, now, outcome, node)
         rec = self._rec
         if rec.enabled:
             rec.record_span(
@@ -292,39 +208,19 @@ class DispatchRuntime:
                 kills=job.kills,
             )
 
-    def _admit(self, now: float, demand: float) -> None:
-        self.offered += 1
-        job = JobRecord(self._next_id, now, demand)
-        self._next_id += 1
-        if self.record_jobs:
-            self.jobs.append(job)
-        if self.controller is not None:
-            self.window_arrivals.append(now)
-        target = self.policy.route(self.queue_lengths(), self.rng)
-        if self.faults is not None and not self.faults.up[target]:
-            # a down node accepts nothing; the arrival is shed
-            self.lost_to_failure += 1
-            self._finish(job, now, "lost_to_failure", target)
-            return
-        if len(self.queues[target]) >= self.capacities[target]:
-            self.dropped_arrival += 1
-            self._finish(job, now, "dropped_arrival", target)
-            return
-        self.queues[target].append(job)
-        self._note_queue(now, target)
-        self._wake[target].set()
-
     async def _generate(self) -> None:
-        inj = self.faults
         while True:
             nxt = self.loadgen.next_job(self.rng)
             if nxt is None:
                 return  # finite trace exhausted
             gap, demand = nxt
-            if inj is not None and inj.arrival_factor != 1.0:
-                gap = gap / inj.arrival_factor
-            await self.clock.sleep(gap)
-            self._admit(self.clock.now(), demand)
+            await self.clock.sleep(self._arrival_gap(gap))
+            now = self.clock.now()
+            if self.controller is not None:
+                self.window_arrivals.append(now)
+            target = self._admit(now, demand)
+            if target is not None:
+                self._wake[target].set()
 
     async def _service_sleep(self, node: int, delay: float) -> bool:
         """Sleep the race duration; False when a crash voided the race.
@@ -353,7 +249,6 @@ class DispatchRuntime:
         queue = self.queues[node]
         wake = self._wake[node]
         inj = self.faults
-        resume = getattr(self.policy, "resume", False)
         while True:
             if inj is not None and not inj.up[node]:
                 await self._up_evt[node].wait()
@@ -362,83 +257,45 @@ class DispatchRuntime:
                 wake.clear()
                 await wake.wait()
                 continue
-            job = queue[0]
-            work = job.remaining if resume else job.demand
-            speed = self.speeds[node]
-            if inj is not None:
-                speed = speed * inj.speed_factor[node]
-            wall = work / speed
-            sampler = self.policy.timeout(node)
-            if (
-                sampler is not None
-                and inj is not None
-                and inj.suppress_timeout(self.policy.forward(node))
-            ):
-                sampler = None  # degraded single-node: serve to exhaustion
-            tau = None if sampler is None else sampler.sample(self.rng)
-            if inj is not None:
-                self._service_start[node] = (self.clock.now(), speed, work)
-            if tau is None or wall <= tau:
-                if not await self._service_sleep(node, wall):
-                    continue  # crash voided the race
-                now = self.clock.now()
-                self._service_start[node] = None
-                queue.popleft()
-                self._note_queue(now, node)
-                self.completed += 1
-                self.responses.append(now - job.arrival_time)
-                self.slowdowns.append((now - job.arrival_time) / job.demand)
-                self.demands.append(job.demand)
+            delay, completes = self._race(self.clock.now(), node)
+            if not await self._service_sleep(node, delay):
+                continue  # crash voided the race
+            now = self.clock.now()
+            if completes:
+                job = self._complete(now, node)
                 if self.controller is not None:
                     self.window_completions.append((now, job.demand))
-                self._finish(job, now, "completed", node)
             else:
-                if resume:
-                    job.remaining = work - tau * speed
-                if not await self._service_sleep(node, tau):
-                    continue  # crash voided the race
-                now = self.clock.now()
-                self._service_start[node] = None
-                queue.popleft()
-                self._note_queue(now, node)
-                self.killed += 1
-                job.kills += 1
-                # counted until _forward resolves the job; teardown
-                # cancellation leaves it counted, so a job asleep in a
-                # retry backoff at t_end still shows up in still_queued
+                job = self._kill(now, node)
+                # counted until _forward_retrying resolves the job;
+                # teardown cancellation leaves it counted, so a job
+                # asleep in a retry backoff at t_end still shows up in
+                # still_queued
                 self._inflight_forwards += 1
-                await self._forward(job, node)
+                await self._forward_retrying(job, node)
                 self._inflight_forwards -= 1
 
-    async def _forward(self, job: JobRecord, node: int) -> None:
-        """Place a killed job at the forward target.
+    async def _forward_retrying(self, job: Job, node: int) -> None:
+        """Place a killed job at the forward target, retrying.
 
-        The default configuration (no retries, no breaker, no faults)
-        reproduces the simulator's drop-after-timeout exactly.  With
-        resilience on, each attempt must pass the breaker and find the
-        target up with room; failed attempts back off exponentially with
-        jitter.  A job whose attempts are exhausted is ``lost_to_failure``
-        when the target is down, ``dropped_forward`` otherwise.
+        The default configuration (no retries, no breaker) is the
+        core's one-shot placement.  With resilience on, each attempt
+        must pass the breaker and find the target up with room; failed
+        attempts back off exponentially with jitter.  A job whose
+        attempts are exhausted is rejected by the core's rule
+        (``lost_to_failure`` when the target is down, else
+        ``dropped_forward``).
         """
         target = self.policy.forward(node)
-        if target is None:
-            self.dropped_forward += 1
-            self._finish(job, self.clock.now(), "dropped_forward", node)
-            return
-        inj = self.faults
         breaker = self.breaker
         attempt = 0
-        while True:
+        while target is not None:
             now = self.clock.now()
             if breaker is None or breaker.allow(now):
-                if (inj is None or inj.up[target]) and len(
-                    self.queues[target]
-                ) < self.capacities[target]:
+                if self._has_room(target):
                     if breaker is not None:
                         breaker.record_success(now)
-                    self.forwarded += 1
-                    self.queues[target].append(job)
-                    self._note_queue(now, target)
+                    self._place(now, job, target)
                     self._wake[target].set()
                     return
                 if breaker is not None:
@@ -452,58 +309,33 @@ class DispatchRuntime:
                     self._resilience_rng.uniform(-1.0, 1.0)
                 )
             await self.clock.sleep(delay)
-        now = self.clock.now()
-        if inj is not None and not inj.up[target]:
-            self.lost_to_failure += 1
-            self._finish(job, now, "lost_to_failure", node)
-        else:
-            self.dropped_forward += 1
-            self._finish(job, now, "dropped_forward", node)
+        self._reject_forward(self.clock.now(), job, node, target)
 
     # -- fault handling -------------------------------------------------
     async def _drive_faults(self) -> None:
         """Replay the injector's plan on the runtime's clock."""
-        inj = self.faults
-        for ev in inj.events():
+        for ev in self.faults.events():
             delay = ev.time - self.clock.now()
             if delay > 0:
                 await self.clock.sleep(delay)
-            self._apply_fault(ev, self.clock.now())
+            now = self.clock.now()
+            directive = self._apply_fault(ev, now)
+            if directive == "crash":
+                self._on_crash(ev.node)
+            elif directive == "recover":
+                self._on_restart(ev.node, now)
 
-    def _apply_fault(self, ev, now: float) -> None:
-        inj = self.faults
-        directive = inj.apply(ev, now)
-        node = ev.node
+    def _on_crash(self, node: int) -> None:
+        """The online side of a crash the core has applied."""
         rec = self._rec
-        if directive == "crash":
-            if rec.enabled:
-                rec.add("serve.fault.crash")
-            self._epoch[node] += 1  # voids this node's in-flight race
-            self._up_evt[node].clear()
-            attempt = self._service_start[node]
-            self._service_start[node] = None
-            if attempt is not None:
-                start_t, att_speed, att_work = attempt
-                self.work_wasted += (now - start_t) * att_speed
-                if inj.on_crash == "requeue" and getattr(
-                    self.policy, "resume", False
-                ):
-                    # the destroyed attempt's partial service is lost,
-                    # but credit from earlier kills is kept
-                    self.queues[node][0].remaining = att_work
-            fut = self._sleep_fut[node]
-            if fut is not None and not fut.done():
-                fut.cancel()
-            if inj.on_crash == "drop" and self.queues[node]:
-                for job in self.queues[node]:
-                    self.lost_to_failure += 1
-                    self._finish(job, now, "lost_to_failure", node)
-                self.queues[node].clear()
-                self._note_queue(now, node)
-            if self.supervisor is not None:
-                self._sup_wake.set()
-        elif directive == "recover":
-            self._on_restart(node, now)
+        if rec.enabled:
+            rec.add("serve.fault.crash")
+        self._up_evt[node].clear()
+        fut = self._sleep_fut[node]
+        if fut is not None and not fut.done():
+            fut.cancel()
+        if self.supervisor is not None:
+            self._sup_wake.set()
 
     def _on_restart(self, node: int, now: float) -> None:
         """Bring a node back into service (recovery or supervisor restart)."""
@@ -512,38 +344,28 @@ class DispatchRuntime:
             rec.add("serve.fault.restart")
         self._up_evt[node].set()
 
-    def _reset_measurements(self, now: float) -> None:
-        """Warm-up boundary: zero counters, keep jobs in flight."""
-        self.offered = self.completed = 0
-        self.killed = self.forwarded = 0
-        self.dropped_arrival = self.dropped_forward = 0
-        self.lost_to_failure = 0
-        self.work_wasted = 0.0
-        self.responses.clear()
-        self.slowdowns.clear()
-        self.demands.clear()
-        for node, avg in enumerate(self.q_avg):
-            avg.reset(now, len(self.queues[node]))
-
     # -- running --------------------------------------------------------
-    async def arun(self, t_end: float, warmup: float = 0.0) -> DispatchResult:
-        """Run until model time ``t_end``; measure after ``warmup``."""
+    async def arun(self, t_end: float, warmup: float = 0.0) -> SimulationResult:
+        """Run until model time ``t_end``; measure after ``warmup``.
+
+        A runtime runs once: its clock and queues carry the first run's
+        end state, so a second call raises :class:`RuntimeError`.
+        """
         if t_end <= warmup:
             raise ValueError("t_end must exceed warmup")
-        if self._running:
-            raise RuntimeError("runtime is already running")
-        self._running = True
+        if self._started:
+            raise RuntimeError(
+                "a DispatchRuntime runs once; build a new one for another run"
+            )
+        self._running = self._started = True
         # one recorder lookup per run: every per-job site reads the
         # cached reference (swapping recorders mid-run is unsupported)
         rec = self._rec = obs.recorder()
         t_wall0 = time.perf_counter() if rec.enabled else 0.0
         n = len(self.capacities)
+        self._begin_run()
         self._wake = [asyncio.Event() for _ in range(n)]
         if self.faults is not None:
-            self.faults.reset(n)
-            self._epoch = [0] * n
-            self._service_start = [None] * n
-            self._sleep_fut = [None] * n
             self._up_evt = [asyncio.Event() for _ in range(n)]
             for evt in self._up_evt:
                 evt.set()
@@ -561,9 +383,7 @@ class DispatchRuntime:
         if warmup > 0:
             tasks.append(
                 asyncio.ensure_future(
-                    self._fire_later(
-                        warmup, lambda: self._reset_measurements(warmup)
-                    )
+                    self._fire_later(warmup, lambda: self._warm_reset(warmup))
                 )
             )
         if self.faults is not None:
@@ -584,47 +404,10 @@ class DispatchRuntime:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
             self._running = False
-
-        duration = max(t_end - warmup, 1e-12)
-        if rec.enabled:
-            rec.record_span(
-                "serve.run",
-                t_wall0,
-                time.perf_counter() - t_wall0,
-                t_end=t_end,
-                warmup=warmup,
-                nodes=n,
-            )
-            rec.add("serve.offered", self.offered)
-            rec.add("serve.completed", self.completed)
-            rec.add("serve.killed", self.killed)
-            rec.add("serve.forwarded", self.forwarded)
-            rec.add("serve.dropped.arrival", self.dropped_arrival)
-            rec.add("serve.dropped.forward", self.dropped_forward)
-            if self.faults is not None:
-                rec.add("serve.lost_to_failure", self.lost_to_failure)
-                rec.gauge("serve.work_wasted", self.work_wasted)
-            for i, avg in enumerate(self.q_avg):
-                rec.gauge("serve.mean_queue_length", avg.mean(t_end), node=i)
-        return DispatchResult(
-            duration=duration,
-            offered=self.offered,
-            completed=self.completed,
-            dropped_arrival=self.dropped_arrival,
-            dropped_forward=self.dropped_forward,
-            mean_queue_lengths=tuple(a.mean(t_end) for a in self.q_avg),
-            response_times=np.asarray(self.responses),
-            slowdowns=np.asarray(self.slowdowns),
-            demands=np.asarray(self.demands),
-            killed=self.killed,
-            forwarded=self.forwarded,
-            jobs=self.jobs if self.record_jobs else None,
-            lost_to_failure=self.lost_to_failure,
-            work_wasted=self.work_wasted,
-            still_queued=sum(len(q) for q in self.queues)
-            + self._inflight_forwards,
+        return self._result(
+            rec, "serve", t_wall0, t_end, warmup, self._inflight_forwards
         )
 
-    def run(self, t_end: float, warmup: float = 0.0) -> DispatchResult:
+    def run(self, t_end: float, warmup: float = 0.0) -> SimulationResult:
         """Synchronous convenience wrapper around :meth:`arun`."""
         return asyncio.run(self.arun(t_end, warmup))

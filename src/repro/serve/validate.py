@@ -96,8 +96,8 @@ def validate_against_model(
     Parameters
     ----------
     result :
-        A :class:`~repro.sim.runner.SimulationResult` /
-        :class:`~repro.serve.dispatcher.DispatchResult`.
+        A :class:`~repro.sim.core.SimulationResult` from the simulator
+        or the runtime.
     model :
         Anything with ``.metrics()`` returning
         :class:`~repro.models.QueueMetrics` -- typically

@@ -13,8 +13,11 @@ Building blocks:
   processes; any distribution with ``.sample`` works for demands.
 * :mod:`~repro.sim.policies` -- TAGS, random, round-robin and
   join-shortest-queue dispatchers over bounded FCFS nodes.
-* :mod:`~repro.sim.runner` -- the event loop, warm-up handling and
-  replication driver.
+* :mod:`~repro.sim.core` -- the node core: queues, counters and the
+  TAGS rules (admission, service race, kill/forward, crashes), shared
+  with the online runtime in :mod:`repro.serve`.
+* :mod:`~repro.sim.runner` -- the heap-of-events driver over the core,
+  and the replication drivers.
 * :mod:`~repro.sim.stats` -- time-averaged queue lengths, batch-means
   confidence intervals, mean slowdown.
 """

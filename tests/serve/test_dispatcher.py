@@ -1,6 +1,8 @@
 """The dispatcher runtime: semantics, admission control, live control,
 obs integration, wall-clock smoke."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,23 @@ class TestLiveControl:
                 (10, 10),
                 speeds=(1.0,),
             )
+
+    def test_second_run_raises(self):
+        """A runtime runs once: its clock already stands at the first
+        run's horizon, so a second run would replay nothing and return
+        stale counters."""
+        rt = DispatchRuntime(
+            PoissonLoad(5.0, Exponential(10.0)),
+            TagsPolicy(timeouts=(ErlangTimeout(6, 51.0),)),
+            (10, 10),
+            seed=3,
+        )
+        first = rt.run(200.0)
+        assert first.offered > 0
+        with pytest.raises(RuntimeError, match="runs once"):
+            rt.run(200.0)
+        with pytest.raises(RuntimeError, match="runs once"):
+            asyncio.run(rt.arun(400.0))
 
     def test_heterogeneous_speeds(self):
         """A 2x node-2 speed halves node-2 service times: fewer jobs

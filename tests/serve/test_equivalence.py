@@ -52,6 +52,10 @@ def run_both(trace, make_policy, capacities, seed=42):
         record_jobs=True,
     )
     rt_res = rt.run(HORIZON)
+    # both drivers report the core's kill/forward/queue counters
+    assert sim_res.killed == rt_res.killed
+    assert sim_res.forwarded == rt_res.forwarded
+    assert sim_res.still_queued == rt_res.still_queued
     return sim_res, rt_res
 
 
@@ -185,6 +189,9 @@ class TestExactEquivalence:
             )
             assert sim_res.lost_to_failure == rt_res.lost_to_failure
             assert sim_res.work_wasted == rt_res.work_wasted
+            assert sim_res.killed == rt_res.killed
+            assert sim_res.forwarded == rt_res.forwarded
+            assert sim_res.still_queued == rt_res.still_queued
             assert sim_res.lost_to_failure > 0  # faults actually bit
 
     def test_no_fault_equality_with_empty_plan(self):

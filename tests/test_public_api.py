@@ -60,6 +60,7 @@ class TestDocstrings:
             "repro.ctmc.lumping",
             "repro.models.tags_direct",
             "repro.approx.balance",
+            "repro.sim.core",
             "repro.sim.runner",
             "repro.sweep.engine",
             "repro.sweep.cache",
