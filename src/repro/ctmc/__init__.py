@@ -7,7 +7,9 @@ uniformization, reward structures and structural (graph) analysis.
 The public entry points are:
 
 * :class:`~repro.ctmc.generator.Generator` -- a validated sparse CTMC
-  generator matrix with labelled transition support.
+  generator matrix with labelled transition support, assembled from
+  transition lists by :class:`~repro.ctmc.generator.GeneratorPattern`
+  (CSR layout frozen per structure, data refilled per rate vector).
 * :func:`~repro.ctmc.steady.steady_state` -- steady-state distribution with
   a choice of solvers (GTH, direct sparse LU, power iteration,
   Gauss-Seidel, GMRES).
@@ -17,7 +19,7 @@ The public entry points are:
 * :mod:`~repro.ctmc.structure` -- reachability / irreducibility checks.
 """
 
-from repro.ctmc.generator import Generator
+from repro.ctmc.generator import Generator, GeneratorPattern
 from repro.ctmc.steady import (
     SteadyStateError,
     steady_state,
@@ -49,13 +51,13 @@ from repro.ctmc.accumulate import expected_accumulated_reward
 from repro.ctmc.bfs import (
     ChainTemplate,
     StructureMismatch,
-    assemble_generator,
     bfs_arrays,
     bfs_generator,
 )
 
 __all__ = [
     "Generator",
+    "GeneratorPattern",
     "SteadyStateError",
     "steady_state",
     "steady_state_gth",
@@ -80,7 +82,6 @@ __all__ = [
     "expected_accumulated_reward",
     "bfs_generator",
     "bfs_arrays",
-    "assemble_generator",
     "ChainTemplate",
     "StructureMismatch",
 ]

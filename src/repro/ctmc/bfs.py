@@ -20,15 +20,13 @@ import time
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
-from repro.ctmc import Generator
+from repro.ctmc.generator import Generator, GeneratorPattern
 
 __all__ = [
     "bfs_generator",
     "bfs_arrays",
-    "assemble_generator",
     "ChainTemplate",
     "StructureMismatch",
 ]
@@ -45,7 +43,8 @@ def bfs_arrays(
     ``(states, index, src, dst, rate, act)`` with ``states[0] ==
     initial``.  Zero-rate transitions are skipped, negative rates raise
     ``ValueError``, and transitions are recorded in enumeration order
-    (per-action aggregation happens in :func:`assemble_generator`).
+    (per-action aggregation happens in
+    :class:`~repro.ctmc.generator.GeneratorPattern`).
 
     Each exploration files a ``ctmc.bfs`` span (state/transition counts)
     and ``ctmc.bfs.states``/``ctmc.bfs.transitions`` counters with the
@@ -96,30 +95,6 @@ def bfs_arrays(
     return states, index, src_a, dst_a, rate_a, act
 
 
-def assemble_generator(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    rate: np.ndarray,
-    act: list,
-) -> Generator:
-    """Assemble a labelled :class:`Generator` from transition arrays.
-
-    Parallel transitions with the same action are summed (CSR
-    construction sums duplicates); self-loops are kept in the per-action
-    matrices only.  First builds and template refills share this exact
-    path, so equal inputs give bit-identical generators.
-    """
-    act_a = np.asarray(act, dtype=object)
-    action_rates = {}
-    for a in sorted(set(act)):
-        mask = act_a == a
-        action_rates[a] = sp.csr_matrix(
-            (rate[mask], (src[mask], dst[mask])), shape=(n, n)
-        )
-    return Generator.from_triples(n, src, dst, rate, action_rates=action_rates)
-
-
 def bfs_generator(
     initial,
     successors: Callable,
@@ -136,7 +111,7 @@ def bfs_generator(
     states, index, src, dst, rate, act = bfs_arrays(
         initial, successors, max_states=max_states
     )
-    gen = assemble_generator(len(states), src, dst, rate, act)
+    gen = GeneratorPattern(len(states), src, dst, act).fill(rate)
     return gen, states, index
 
 
@@ -159,7 +134,10 @@ class ChainTemplate:
 
     Model classes with vectorisable rate formulas can skip the
     re-enumeration entirely and hand :meth:`generator` a rate vector
-    computed directly from the stored endpoint arrays.
+    computed directly from the stored endpoint arrays.  The first
+    :meth:`generator` call freezes the CSR layout in a
+    :class:`~repro.ctmc.generator.GeneratorPattern`; every later call
+    only fills its data arrays.
     """
 
     __slots__ = (
@@ -172,6 +150,7 @@ class ChainTemplate:
         "initial",
         "_state_array",
         "_masks",
+        "_pattern",
     )
 
     def __init__(self, states, index, src, dst, rate, act) -> None:
@@ -184,6 +163,7 @@ class ChainTemplate:
         self.initial = states[0]
         self._state_array = None
         self._masks = None
+        self._pattern = None
 
     @classmethod
     def explore(
@@ -277,4 +257,8 @@ class ChainTemplate:
                 f"rate vector has {rate.size} entries, template has "
                 f"{self.src.size} transitions"
             )
-        return assemble_generator(self.n_states, self.src, self.dst, rate, self.act)
+        if self._pattern is None:
+            self._pattern = GeneratorPattern(
+                self.n_states, self.src, self.dst, self.act
+            )
+        return self._pattern.fill(rate)

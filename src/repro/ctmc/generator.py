@@ -8,10 +8,14 @@ property on construction and keeps (optionally) a per-action decomposition
 ``Q = sum_a R_a + diagonal`` so that action throughputs can be computed for
 process-algebra derived chains.
 
-Construction is vectorised: callers accumulate ``(src, dst, rate)`` triples
-(NumPy arrays or Python lists) and build once.  Duplicate ``(src, dst)``
-pairs are summed, matching the multi-transition-system semantics of PEPA
-(two distinct activities between the same pair of states add their rates).
+Every labelled transition list ``(src, dst, rate, action)`` becomes a
+generator through one assembly, :class:`GeneratorPattern`: the CSR layout
+of ``Q`` and of each action matrix depends only on ``(src, dst, action)``,
+so it is laid out once per structure and :meth:`GeneratorPattern.fill`
+writes nothing but data arrays for a rate vector.  Duplicate ``(src,
+dst)`` pairs are summed, matching the multi-transition-system semantics of
+PEPA (two distinct activities between the same pair of states add their
+rates).
 """
 
 from __future__ import annotations
@@ -22,7 +26,180 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Generator", "TransitionBatch"]
+__all__ = ["Generator", "GeneratorPattern", "TransitionBatch"]
+
+
+def _segments(key: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values in sorted ``key``."""
+    if not key.size:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+
+
+def _merge_plan(gather: np.ndarray, key: np.ndarray):
+    """How to sum the runs of equal sorted ``key`` over ``rate[gather]``.
+
+    Returns ``(first, extra)``: the rate index of each run's first
+    transition, and per further run position the runs that reach it with
+    the rate indices to add, so :func:`_merged` sums every run left to
+    right in ``gather`` order.
+    """
+    starts = _segments(key)
+    lengths = np.diff(np.append(starts, key.size))
+    extra = []
+    for j in range(1, int(lengths.max(initial=1))):
+        runs = np.flatnonzero(lengths > j)
+        extra.append((runs, gather[starts[runs] + j]))
+    return gather[starts], extra
+
+
+def _merged(rate: np.ndarray, first: np.ndarray, extra: list) -> np.ndarray:
+    out = rate[first]
+    for runs, idx in extra:
+        out[runs] += rate[idx]
+    return out
+
+
+def _csr_layout(n: int, key: np.ndarray):
+    """``(indices, indptr)`` of the sorted unique entry keys ``row*n+col``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return key % n, indptr
+
+
+class GeneratorPattern:
+    """Structure-frozen CSR layout of a labelled generator.
+
+    Built once from the transition structure ``(n_states, src, dst,
+    action)`` -- ``action`` is one label per transition, ``None`` for an
+    unlabelled one -- it holds the CSR ``indices``/``indptr`` of ``Q``
+    (off-diagonal pairs merged, a diagonal slot only for rows with an
+    exit) and of one rate matrix per action (self-loops included), plus
+    the gather and segment indices that sum parallel transitions.
+    :meth:`fill` then writes only data arrays for a rate vector.
+
+    The fill reproduces SciPy's COO assembly (``R - diags(R.sum(1))``
+    with per-action ``csr_matrix((rate, (src, dst)))``) bit for bit
+    whenever no ``(src, dst)`` pair carries three or more parallel
+    transitions: parallel transitions are summed left to right in input
+    order, exit rates are ``np.add.reduceat`` over each row's merged
+    entries (the order ``sum(axis=1)`` uses), and entries of ``Q`` that
+    come out exactly zero are not stored.  Three or more parallel
+    transitions can be summed in another order than SciPy's, whose
+    duplicate sort is not stable on long rows, so such sums may differ
+    in the last bits.
+    """
+
+    __slots__ = (
+        "n_states",
+        "src",
+        "dst",
+        "action",
+        "labels",
+        "_first",
+        "_extra",
+        "_row_starts",
+        "_off_pos",
+        "_diag_pos",
+        "_indices",
+        "_indptr",
+        "_actions",
+    )
+
+    def __init__(self, n_states: int, src, dst, action=None) -> None:
+        n = self.n_states = int(n_states)
+        src = self.src = np.asarray(src, dtype=np.int64)
+        dst = self.dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise ValueError(f"src/dst shapes differ: {src.shape} {dst.shape}")
+        if src.size and not (
+            0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
+        ):
+            raise ValueError(f"transition endpoint outside states 0..{n - 1}")
+        key = src * n + dst
+
+        # Q: off-diagonal transitions in (row, col) order, stable within a
+        # pair; one merged entry per pair, one diagonal per row with exits
+        off = np.flatnonzero(src != dst)
+        gather = off[np.argsort(key[off], kind="stable")]
+        self._first, self._extra = _merge_plan(gather, key[gather])
+        ukey = key[self._first]
+        urow = ukey // n
+        self._row_starts = _segments(urow)
+        dkey = urow[self._row_starts] * (n + 1)
+        qkey = np.sort(np.concatenate((ukey, dkey)))
+        self._off_pos = np.searchsorted(qkey, ukey)
+        self._diag_pos = np.searchsorted(qkey, dkey)
+        self._indices, self._indptr = _csr_layout(n, qkey)
+
+        # one rate matrix per action label, sorted by name
+        self.action = action
+        self.labels: list = []
+        self._actions: list = []
+        if action is None:
+            return
+        if len(action) != src.size:
+            raise ValueError(
+                f"{len(action)} action labels for {src.size} transitions"
+            )
+        self.labels = sorted({a for a in action if a is not None})
+        code = {a: i for i, a in enumerate(self.labels)}
+        code[None] = -1
+        codes = np.fromiter(map(code.__getitem__, action), np.int64, src.size)
+        order = np.lexsort((key, codes))
+        bounds = np.searchsorted(codes[order], np.arange(len(self.labels) + 1))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            gather = order[lo:hi]
+            first, extra = _merge_plan(gather, key[gather])
+            indices, indptr = _csr_layout(n, key[first])
+            self._actions.append((first, extra, indices, indptr))
+
+    def _check_rates(self, rate: np.ndarray) -> None:
+        ok = np.isfinite(rate) & (rate >= 0)
+        if ok.all():
+            return
+        k = int(np.argmin(ok))
+        kind = "negative" if np.isfinite(rate[k]) else "non-finite"
+        label = f" {self.action[k]!r}" if self.action is not None else ""
+        raise ValueError(
+            f"{kind} transition rate {float(rate[k])!r} on transition {k}{label} "
+            f"({self.src[k]} -> {self.dst[k]})"
+        )
+
+    def fill(self, rate) -> "Generator":
+        """Assemble the generator for ``rate`` (one entry per transition).
+
+        Raises ``ValueError`` naming the first transition whose rate is
+        negative, NaN or infinite.
+        """
+        rate = np.asarray(rate, dtype=np.float64)
+        if rate.shape != self.src.shape:
+            raise ValueError(
+                f"rate vector has {rate.size} entries, pattern has "
+                f"{self.src.size} transitions"
+            )
+        self._check_rates(rate)
+        n = self.n_states
+        data = np.empty(self._indices.size, dtype=np.float64)
+        if self._first.size:
+            merged = _merged(rate, self._first, self._extra)
+            data[self._off_pos] = merged
+            data[self._diag_pos] = -np.add.reduceat(merged, self._row_starts)
+        Q = sp.csr_matrix(
+            (data, self._indices.copy(), self._indptr.copy()), shape=(n, n)
+        )
+        if not data.all():  # zero rates: store no explicit zeros in Q
+            Q.eliminate_zeros()
+        action_rates = {
+            name: sp.csr_matrix(
+                (_merged(rate, first, extra), indices.copy(), indptr.copy()),
+                shape=(n, n),
+            )
+            for name, (first, extra, indices, indptr) in zip(
+                self.labels, self._actions
+            )
+        }
+        return Generator(Q, action_rates=action_rates, validate=False)
 
 
 @dataclass
@@ -65,20 +242,12 @@ class TransitionBatch:
                 raise ValueError("cannot infer state count from an empty batch")
             n = int(max(int(s.max()) for s in self._src if s.size) + 1)
             n = max(n, int(max(int(d.max()) for d in self._dst if d.size) + 1))
-        by_action: dict[str, list[int]] = {}
-        for idx, act in enumerate(self._action):
-            if act is not None:
-                by_action.setdefault(act, []).append(idx)
-        action_rates = {}
-        for act, idxs in by_action.items():
-            s = np.concatenate([self._src[i] for i in idxs])
-            d = np.concatenate([self._dst[i] for i in idxs])
-            r = np.concatenate([self._rate[i] for i in idxs])
-            action_rates[act] = sp.csr_matrix((r, (s, d)), shape=(n, n))
         src = np.concatenate(self._src) if self._src else np.empty(0, np.int64)
         dst = np.concatenate(self._dst) if self._dst else np.empty(0, np.int64)
         rate = np.concatenate(self._rate) if self._rate else np.empty(0, np.float64)
-        return Generator.from_triples(n, src, dst, rate, action_rates=action_rates)
+        sizes = [s.size for s in self._src]
+        action = np.repeat(np.array(self._action, dtype=object), sizes)
+        return GeneratorPattern(n, src, dst, action).fill(rate)
 
 
 class Generator:
@@ -109,6 +278,13 @@ class Generator:
         if Q.shape[0] != Q.shape[1]:
             raise ValueError(f"generator must be square, got {Q.shape}")
         if validate:
+            if not np.isfinite(Q.data).all():
+                k = int(np.argmin(np.isfinite(Q.data)))
+                i = int(np.searchsorted(Q.indptr, k, side="right") - 1)
+                raise ValueError(
+                    f"non-finite generator entry {float(Q.data[k])!r} at "
+                    f"({i}, {int(Q.indices[k])})"
+                )
             off = Q.copy()
             off.setdiag(0.0)
             off.eliminate_zeros()
@@ -141,28 +317,15 @@ class Generator:
         src: Sequence[int],
         dst: Sequence[int],
         rate: Sequence[float],
-        action_rates: Mapping[str, sp.spmatrix] | None = None,
     ) -> "Generator":
         """Build from off-diagonal transition triples; the diagonal is set
         so each row sums to zero.  Self-loop triples (``src == dst``) are
-        legal and simply cancel out of the generator (they still count for
-        any action-labelled rate matrices supplied separately), matching the
-        CTMC semantics where a self-loop is unobservable in the stationary
-        distribution.
+        legal and simply cancel out of the generator, matching the CTMC
+        semantics where a self-loop is unobservable in the stationary
+        distribution.  Labelled transitions (with per-action rate
+        matrices) go through :class:`GeneratorPattern` directly.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        rate = np.asarray(rate, dtype=np.float64)
-        if rate.size and rate.min() < 0:
-            raise ValueError("negative transition rate")
-        keep = src != dst
-        R = sp.csr_matrix(
-            (rate[keep], (src[keep], dst[keep])), shape=(n_states, n_states)
-        )
-        R.sum_duplicates()
-        exit_rates = np.asarray(R.sum(axis=1)).ravel()
-        Q = R - sp.diags(exit_rates, format="csr")
-        return cls(Q, action_rates=action_rates, validate=False)
+        return GeneratorPattern(n_states, src, dst).fill(rate)
 
     @classmethod
     def from_dense(cls, Q: np.ndarray, **kw) -> "Generator":

@@ -2,7 +2,11 @@
 
 These build exactly the chains induced by the paper's PEPA models (the test
 suite pins PEPA-vs-direct steady-state metrics to ~1e-9), but enumerate
-tuple states directly, which makes the Figure 6-12 sweeps fast.
+tuple states directly from a successor function.  That makes them an
+independent check of the PEPA construction, and lets them carry
+variants the PEPA builders do not (``t_of_q1``, ``restart_work``, N
+nodes).  Sweeps explore each structure once and refill only the rate
+column per point (:class:`~repro.ctmc.bfs.ChainTemplate`).
 
 State encodings
 ---------------
@@ -468,7 +472,7 @@ class TagsHyperExponential(_TagsBase):
 
 
 @dataclass
-class TagsMultiNode:
+class TagsMultiNode(_TagsBase):
     """N-node TAGS chain with exponential service (paper Section 3: "a
     simple matter to add more nodes").
 
@@ -629,39 +633,6 @@ class TagsMultiNode:
         # node count, capacities, phase count and the default cycle
         # policy determine reachability
         return (type(self).__qualname__, self.n, self.capacities)
-
-    def _template_rates(self, tpl):
-        # rates mix per-node timeout indices; the generic successor
-        # re-enumeration refill is fast enough for this model
-        return None
-
-    SOLVE_ENGINE = "chain-template-v1"
-
-    def _build(self):
-        return _templated_build(self)
-
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            self._gen, self._states, self._index = self._build()
-            self._pi = None
-        return self._gen
-
-    @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
 
     def metrics(self) -> QueueMetrics:
         pi = self.pi

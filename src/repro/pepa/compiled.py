@@ -1,4 +1,4 @@
-"""Compiled PEPA engine: vectorized exploration + generator templates.
+"""Compiled PEPA engine: vectorized exploration + rate refill.
 
 The interpreter in :mod:`repro.pepa.statespace` pays Python-level AST
 rewriting and component hashing for every transition of every state.
@@ -10,9 +10,8 @@ exploits that in two steps:
 **Compilation** (:func:`compile_model`) flattens the cooperation tree
 into sequential *leaves*, explores each leaf's small local derivative
 graph once through the shared :class:`~repro.pepa.semantics.
-TransitionContext` (the same idea as ``kron.py``'s ``_leaf_block``), and
-turns every global transition family into a *rule*: a flat cross-product
-table of participating leaf moves with
+TransitionContext`, and turns every global transition family into a
+*rule*: a flat cross-product table of participating leaf moves with
 
 * a packed mixed-radix state key (which local states enable the rule),
 * an integer code delta (how the packed global state changes), and
@@ -38,16 +37,19 @@ passive action, mixed active/passive kinds on one side -- raises
 back to the interpreter.  Reachability-dependent errors keep interpreter
 semantics: a top-level passive transition raises
 :class:`~repro.pepa.statespace.PassiveRateError` only when a reachable
-state enables it ("poison rules" checked during the BFS, unlike
-``kron.py``'s eager whole-product-space check), and ``max_states``
-raises :class:`MemoryError`.
+state enables it ("poison rules" checked during the BFS, not an eager
+check over the whole product space), and ``max_states`` raises
+:class:`MemoryError`.
 
-**Templates**: the CSR sparsity pattern of the generator depends only on
-the structure, so :meth:`CompiledSpace.refill` re-evaluates nothing but
-the rate vector for a new model of identical shape -- a parameter sweep
-explores once and refills per (lambda, mu, t) point.  Spans
-``pepa.compile``, ``pepa.explore.fast`` and ``template.refill`` make the
-split visible in :mod:`repro.obs` traces.
+**Refill**: the state space and transition endpoints depend only on the
+structure, so :meth:`CompiledSpace.refill` re-evaluates nothing but the
+rate vector for a new model of identical shape -- a parameter sweep
+explores once and refills per (lambda, mu, t) point.  The generator's
+CSR layout is frozen on the first :meth:`CompiledSpace.generator` call
+(:class:`~repro.ctmc.generator.GeneratorPattern`), so each refilled
+point only writes data arrays.  Spans ``pepa.compile``,
+``pepa.explore.fast`` and ``template.refill`` make the split visible in
+:mod:`repro.obs` traces.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.ctmc.generator import GeneratorPattern
 from repro.pepa.semantics import TransitionContext
 from repro.pepa.statespace import PassiveRateError, StateSpace
 from repro.pepa.syntax import TAU, Constant, Cooperation, Hiding, Model
@@ -189,8 +192,10 @@ def _leaf_table(comp, ctx: TransitionContext) -> _Leaf:
 # A *term* is one family of global transitions for one action: a tuple of
 # factors (leaf_id, leaf_action, normalised) whose cross product, with
 # rates multiplied (normalised factors contribute their row-normalised
-# passive weights), enumerates the family.  The combination rules mirror
-# kron.py's matrix algebra, kept symbolic so rates stay refillable.
+# passive weights), enumerates the family.  The combination rules are
+# the Kronecker structure of PEPA cooperation -- unshared moves of either
+# side interleave, a shared move pairs an active term with a
+# row-normalised passive one -- kept symbolic so rates stay refillable.
 
 
 class _Term:
@@ -714,7 +719,7 @@ class CompiledSpace:
         self.frontier_sizes = frontier_sizes
         self._names: "list | None" = None
         self._reward_memo: dict = {}
-        self._gen_template: "dict | None" = None
+        self._pattern: "GeneratorPattern | None" = None
         self.rate = self._fill()
 
     # -- shape ---------------------------------------------------------
@@ -805,117 +810,16 @@ class CompiledSpace:
     def generator(self):
         """Assemble the CTMC generator.
 
-        The first call routes through the reference assembly
-        (:func:`repro.pepa.ctmc_map.to_generator`) and records the CSR
-        sparsity pattern -- entry positions for every transition, per
-        action and for ``Q`` itself.  Later calls (i.e. after a rate
-        refill) write only the data vectors into the frozen pattern,
-        skipping all index sorting and duplicate bookkeeping.
+        The first call freezes the CSR layout of ``Q`` and the action
+        matrices in a :class:`~repro.ctmc.generator.GeneratorPattern`;
+        later calls (i.e. after a rate refill) write only its data
+        arrays.
         """
-        from repro.pepa.ctmc_map import to_generator
-
-        if self._gen_template not in (None, False):
-            return self._generator_from_template()
-        gen = to_generator(self)
-        if self._gen_template is None:
-            # False marks an unsupported pattern: keep using the
-            # reference assembly instead of re-probing every call
-            self._gen_template = self._build_gen_template(gen) or False
-        return gen
-
-    def _build_gen_template(self, gen) -> "dict | None":
-        import scipy.sparse as sp_
-
-        src, dst, rate = self.src, self.dst, self.rate
-        n = self.n_states
-        Q = gen.Q
-        Q.sort_indices()
-        qkey = (
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(Q.indptr)) * n
-            + Q.indices
-        )
-        kf = np.flatnonzero(src != dst)
-        order = np.lexsort((dst[kf], src[kf]))
-        gather = kf[order]  # off-diag transitions in CSR (row, col) order
-        ks, kd = src[gather], dst[gather]
-        boundary = np.concatenate(
-            ([True], (ks[1:] != ks[:-1]) | (kd[1:] != kd[:-1]))
-        ) if ks.size else np.empty(0, dtype=bool)
-        starts = np.flatnonzero(boundary)
-        ukey = ks[starts] * n + kd[starts]
-        pos = np.searchsorted(qkey, ukey)
-        diag_pos = np.searchsorted(qkey, np.arange(n, dtype=np.int64) * (n + 1))
-        # the pattern must hold every off-diagonal entry and a diagonal
-        # slot per row; csr arithmetic can in principle prune explicit
-        # zeros, in which case fall back to full assembly per call
-        if (
-            np.any(pos >= qkey.size)
-            or np.any(qkey[np.minimum(pos, qkey.size - 1)] != ukey)
-            or np.any(diag_pos >= qkey.size)
-            or np.any(
-                qkey[np.minimum(diag_pos, qkey.size - 1)]
-                != np.arange(n, dtype=np.int64) * (n + 1)
+        if self._pattern is None:
+            self._pattern = GeneratorPattern(
+                self.n_states, self.src, self.dst, self.action
             )
-        ):
-            return None
-        row_boundary = np.concatenate(
-            ([True], ks[1:] != ks[:-1])
-        ) if ks.size else np.empty(0, dtype=bool)
-        row_starts = np.flatnonzero(row_boundary)
-        actions = {}
-        for name in sorted(gen.action_rates):
-            ma = np.flatnonzero(
-                self._act == self.compiled.action_names.index(name)
-            )
-            aorder = ma[np.lexsort((dst[ma], src[ma]))]
-            mat = gen.action_rates[name]
-            mat.sort_indices()
-            if mat.nnz != aorder.size:  # duplicate (src, dst) in action
-                return None
-            actions[name] = {
-                "gather": aorder,
-                "indices": mat.indices.copy(),
-                "indptr": mat.indptr.copy(),
-            }
-        return {
-            "indices": Q.indices.copy(),
-            "indptr": Q.indptr.copy(),
-            "nnz": Q.nnz,
-            "gather": gather,
-            "starts": starts,
-            "pos": pos,
-            "diag_pos": diag_pos,
-            "row_starts": row_starts,
-            "rows": ks[row_starts] if ks.size else np.empty(0, np.int64),
-            "actions": actions,
-            "csr": sp_.csr_matrix,
-        }
-
-    def _generator_from_template(self):
-        from repro.ctmc import Generator
-
-        t = self._gen_template
-        n = self.n_states
-        vals = self.rate[t["gather"]]
-        data = np.zeros(t["nnz"], dtype=np.float64)
-        if vals.size:
-            data[t["pos"]] = np.add.reduceat(vals, t["starts"])
-            exit_rates = np.add.reduceat(vals, t["row_starts"])
-            data[t["diag_pos"][t["rows"]]] = -exit_rates
-        Q = t["csr"](
-            (data, t["indices"].copy(), t["indptr"].copy()), shape=(n, n)
-        )
-        action_rates = {}
-        for name, at in t["actions"].items():
-            action_rates[name] = t["csr"](
-                (
-                    self.rate[at["gather"]],
-                    at["indices"].copy(),
-                    at["indptr"].copy(),
-                ),
-                shape=(n, n),
-            )
-        return Generator(Q, action_rates=action_rates, validate=False)
+        return self._pattern.fill(self.rate)
 
     def statespace(self) -> StateSpace:
         """Materialise the interpreter-compatible :class:`StateSpace`
