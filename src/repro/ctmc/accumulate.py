@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.generator import Generator
 from repro.ctmc.passage import _backward_reachable
+from repro.ctmc.steady import _ordered_lu
 
 __all__ = ["expected_accumulated_reward"]
 
@@ -58,8 +58,8 @@ def expected_accumulated_reward(generator, reward, targets) -> np.ndarray:
     solvable = T[can_reach[T]]
     if solvable.size == 0:
         return out
-    QTT = sp.csc_matrix(g.Q[solvable][:, solvable])
-    a = spla.spsolve(QTT, -reward[solvable])
+    lu = _ordered_lu(g.Q[solvable][:, solvable].T)
+    a = lu.solve(-reward[solvable], trans="T")
     if not np.all(np.isfinite(a)):
         raise RuntimeError("accumulated-reward solve failed")
     out[solvable] = a

@@ -13,17 +13,21 @@ absorption probabilities:
   action label into a fresh absorbing state, turning an *event* ("a loss
   occurred") into a *state* so the two functions above apply.
 
-All solves are sparse; unreachable-target states are reported as ``inf``
-passage time rather than raising.
+Every linear system here is a restriction ``Q_TT`` of a generator to
+states that can reach the target set.  Its rows are diagonally dominant,
+so ``Q_TT^T`` is factored with the ordered sparse LU of
+:mod:`repro.ctmc.steady` (no row is ever swapped) and solved transposed;
+one factor serves every right-hand side of a call.  Unreachable-target
+states are reported as ``inf`` passage time rather than raising.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.generator import Generator
+from repro.ctmc.steady import _ordered_lu
 
 __all__ = [
     "mean_first_passage_times",
@@ -64,13 +68,42 @@ def mean_first_passage_times(generator, targets) -> np.ndarray:
     out[~can_reach] = np.inf
     if solvable.size == 0:
         return out
-    QTT = sp.csc_matrix(g.Q[solvable][:, solvable])
-    rhs = -np.ones(solvable.size)
-    m = spla.spsolve(QTT, rhs)
+    lu = _ordered_lu(g.Q[solvable][:, solvable].T)
+    m = lu.solve(-np.ones(solvable.size), trans="T")
     if not np.all(np.isfinite(m)) or m.min() < -1e-9:
         raise RuntimeError("first-passage solve failed (singular system)")
     out[solvable] = np.maximum(m, 0.0)
     return out
+
+
+def _absorption(g: Generator, classes):
+    """``(B, T, lu)``: absorption probabilities, the transient states
+    that can reach some class, and the ordered factor of ``Q_TT^T``
+    (``None`` when ``T`` is empty)."""
+    n = g.n_states
+    classes = [np.asarray(sorted(set(int(i) for i in c)), np.int64) for c in classes]
+    all_abs = np.concatenate(classes) if classes else np.empty(0, np.int64)
+    if len(np.unique(all_abs)) != all_abs.size:
+        raise ValueError("absorbing classes must be disjoint")
+    B = np.zeros((n, len(classes)))
+    for c, ids in enumerate(classes):
+        B[ids, c] = 1.0
+    if all_abs.size == 0:
+        return B, np.empty(0, np.int64), None
+    # states that can never be absorbed keep a zero row: leaving them out
+    # of Q_TT is exact and keeps it nonsingular
+    reach = _backward_reachable(g.Q, all_abs)
+    reach[all_abs] = False
+    T = np.flatnonzero(reach)
+    if T.size == 0:
+        return B, T, None
+    Q_T = g.Q[T]
+    lu = _ordered_lu(Q_T[:, T].T)
+    rhs = -np.column_stack(
+        [np.asarray(Q_T[:, ids].sum(axis=1)).ravel() for ids in classes]
+    )
+    B[T] = np.clip(lu.solve(rhs, trans="T"), 0.0, 1.0)
+    return B, T, lu
 
 
 def absorption_probabilities(generator, classes) -> np.ndarray:
@@ -81,30 +114,10 @@ def absorption_probabilities(generator, classes) -> np.ndarray:
     ``(n_states, len(classes))`` matrix; rows of states inside a class are
     the corresponding unit vector.  Transient states that can avoid
     absorption forever (a closed recurrent class outside every target)
-    yield rows summing to < 1.
+    yield rows summing to < 1; rows of states that can never be absorbed
+    are zero.
     """
-    g = _as_gen(generator)
-    n = g.n_states
-    classes = [np.asarray(sorted(set(int(i) for i in c)), np.int64) for c in classes]
-    all_abs = np.concatenate(classes) if classes else np.empty(0, np.int64)
-    if len(np.unique(all_abs)) != all_abs.size:
-        raise ValueError("absorbing classes must be disjoint")
-    mask = np.ones(n, dtype=bool)
-    mask[all_abs] = False
-    T = np.flatnonzero(mask)
-    out = np.zeros((n, len(classes)))
-    for c, ids in enumerate(classes):
-        out[ids, c] = 1.0
-    if T.size == 0:
-        return out
-    QTT = sp.csc_matrix(g.Q[T][:, T])
-    for c, ids in enumerate(classes):
-        rhs = -np.asarray(g.Q[T][:, ids].sum(axis=1)).ravel()
-        if not rhs.any():
-            continue
-        b = spla.spsolve(QTT, rhs)
-        out[T, c] = np.clip(b, 0.0, 1.0)
-    return out
+    return _absorption(_as_gen(generator), classes)[0]
 
 
 def conditional_absorption_times(generator, classes):
@@ -119,24 +132,13 @@ def conditional_absorption_times(generator, classes):
     ``Q_TT H = -B_T`` on the transient states, then ``M = H / B``.  This
     is what turns a tagged-job chain into per-outcome response times:
     "how long do the jobs that *complete* take, versus the ones that are
-    eventually dropped?".
+    eventually dropped?".  Both systems share one factor of ``Q_TT``.
     """
     g = _as_gen(generator)
-    n = g.n_states
-    B = absorption_probabilities(g, classes)
-    classes = [np.asarray(sorted(set(int(i) for i in c)), np.int64) for c in classes]
-    all_abs = np.concatenate(classes) if classes else np.empty(0, np.int64)
-    mask = np.ones(n, dtype=bool)
-    mask[all_abs] = False
-    T = np.flatnonzero(mask)
-    H = np.zeros((n, len(classes)))
+    B, T, lu = _absorption(g, classes)
+    H = np.zeros_like(B)
     if T.size:
-        QTT = sp.csc_matrix(g.Q[T][:, T])
-        for c in range(len(classes)):
-            rhs = -B[T, c]
-            if not rhs.any():
-                continue
-            H[T, c] = spla.spsolve(QTT, rhs)
+        H[T] = lu.solve(-B[T], trans="T")
     with np.errstate(divide="ignore", invalid="ignore"):
         M = np.where(B > 0, H / np.where(B > 0, B, 1.0), np.nan)
     return B, M

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ctmc import Generator, SteadyStateError, steady_state
 from repro.ctmc.steady import (
+    GTH_CUTOFF,
     steady_state_direct,
     steady_state_gauss_seidel,
     steady_state_gmres,
@@ -174,6 +175,21 @@ class TestAutoFallback:
         with obs.use(obs.Recorder()) as rec:
             steady_state(birth_death(1.0, 2.0, 5), "auto")
         assert rec.counter("steady.fallback") == 1
+
+
+class TestDirectReanchor:
+    """A first anchored solve that fails outright re-anchors, like one
+    that fails the residual check."""
+
+    def test_underflowing_last_state_solves_without_fallback(self):
+        # pi[K] = 2^-K underflows: anchoring state K would scale every
+        # other probability past the float range
+        K = GTH_CUTOFF + 500
+        info = {}
+        pi = steady_state(birth_death(1.0, 2.0, K), "auto", info=info)
+        assert info["method"] == "direct"
+        assert info["fallbacks"] == []
+        np.testing.assert_allclose(pi, mm1k_exact(1.0, 2.0, K), atol=1e-12)
 
 
 class TestCrossSolverAgreement:

@@ -44,6 +44,17 @@ class TestSolverSpans:
         assert spans[0].attrs["n"] == chain.n_states
         assert spans[0].duration > 0
 
+    def test_direct_span_reports_fill_and_residual(self, chain):
+        info = {}
+        with obs.use(obs.Recorder()) as rec:
+            steady_state(chain, method="direct", info=info)
+        (span,) = rec.find_spans("steady_state")
+        n = chain.n_states
+        # L+U of the (n-1)-state anchored system holds at least its
+        # nonzeros, and no more than a dense factor
+        assert chain.Q.nnz - 2 * n < span.attrs["lu_nnz"] <= (n - 1) ** 2
+        assert span.attrs["residual"] == info["residual"] <= 1e-14
+
     @pytest.mark.parametrize("method", ["power", "gauss_seidel", "gmres"])
     def test_iterative_methods_emit_residual_trace(self, chain, method):
         with obs.use(obs.Recorder()) as rec:
