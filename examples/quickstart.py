@@ -8,8 +8,8 @@ steady state and compare TAGS with random and shortest-queue allocation.
 Run:  python examples/quickstart.py
 """
 
-from repro.models import RandomAllocation, ShortestQueue, TagsExponential
-from repro.models.tags_pepa import TagsParameters, build_tags_model, tags_pepa_metrics
+from repro.models import RandomAllocation, ShortestQueue, TagsExponential, TagsPepa
+from repro.models.tags_pepa import TagsParameters, build_tags_model
 from repro.pepa import check_model, explore
 
 LAM, MU, T, N, K = 5.0, 10.0, 51.0, 6, 10
@@ -25,7 +25,7 @@ def main() -> None:
     print(f"Figure 3 PEPA model: {space.n_states} states "
           f"({space.n_transitions} transitions); paper reports 4331.")
 
-    metrics = tags_pepa_metrics(params)
+    metrics = TagsPepa(lam=LAM, mu=MU, t=T, n=N, K1=K, K2=K).metrics()
     print(f"TAGS (t={T:g}): mean jobs {metrics.mean_jobs:.4f}, "
           f"response time {metrics.response_time:.4f}, "
           f"throughput {metrics.throughput:.4f}")

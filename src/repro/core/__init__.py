@@ -41,8 +41,6 @@ from repro.models import (
     TagsMultiNode,
     build_tags_h2_model,
     build_tags_model,
-    tags_h2_pepa_metrics,
-    tags_pepa_metrics,
 )
 from repro.models.tags_hyper import TagsH2Parameters
 from repro.models.tags_pepa import TagsParameters
@@ -52,8 +50,6 @@ __all__ = [
     "TagsH2Parameters",
     "build_tags_model",
     "build_tags_h2_model",
-    "tags_pepa_metrics",
-    "tags_h2_pepa_metrics",
     "TagsExponential",
     "TagsHyperExponential",
     "TagsMultiNode",

@@ -15,19 +15,31 @@ where feasible:
 
 Modules
 -------
-``tags_pepa``      Figure 3 (exponential TAGS) and Figure 4 (per-place
-                   alternative) PEPA builders.
+``chain``          ``ChainModel``, the base of every CTMC model: lazy
+                   build through the structure cache, lazy solve, and
+                   the shared throughput / TAGS / router metric
+                   extraction.
+``tags_pepa``      Figure 3 (exponential TAGS) PEPA builder and the
+                   sweepable compiled-engine ``TagsPepa``.
 ``tags_hyper``     Figure 5 (H2-service TAGS) PEPA builder.
+``tags_figure4``   Figure 4 per-place alternative, solved exactly by
+                   component counting or as a fluid ODE.
 ``tags_direct``    direct CTMCs for TAGS with exponential or H2 service,
                    two nodes or the N-node extension.
+``tags_breakdown`` breakdown/repair-extended TAGS (node-2 failure), the
+                   CTMC ground truth for ``repro.faults`` injection.
+``bursty``         TAGS and shortest queue under MMPP arrivals.
 ``random_alloc``   Appendix A weighted random allocation (exp analytic,
                    H2 via M/PH/1/K).
 ``shortest_queue`` Appendix B shortest-queue strategy (PEPA + direct,
                    exp and H2 service).
-``tags_breakdown`` breakdown/repair-extended TAGS (node-2 failure), the
-                   CTMC ground truth for ``repro.faults`` injection.
+``round_robin``    round-robin allocation, exp and H2 service.
+``tagged``         absorbing tagged-job chains: response-time
+                   distributions and per-outcome means.
 ``mm1k``           analytic M/M/1/K formulas.
+``mmck``           analytic M/M/c/K, Erlang B and C.
 ``mph1k``          M/PH/1/K matrix model.
+``analytic``       closed-form M/M/1 and M/G/1 response times.
 ``metrics``        the shared metric record all solvers return.
 """
 
@@ -36,8 +48,8 @@ from repro.models.mm1k import MM1K
 from repro.models.mmck import MMcK, erlang_b, erlang_c
 from repro.models.mph1k import MPH1K
 from repro.models.tags_breakdown import TagsBreakdown, build_tags_breakdown_model
-from repro.models.tags_pepa import TagsPepa, build_tags_model, tags_pepa_metrics
-from repro.models.tags_hyper import build_tags_h2_model, tags_h2_pepa_metrics
+from repro.models.tags_pepa import TagsPepa, build_tags_model
+from repro.models.tags_hyper import build_tags_h2_model
 from repro.models.tags_direct import (
     TagsExponential,
     TagsHyperExponential,
@@ -63,12 +75,10 @@ __all__ = [
     "erlang_c",
     "MPH1K",
     "build_tags_model",
-    "tags_pepa_metrics",
     "TagsPepa",
     "TagsBreakdown",
     "build_tags_breakdown_model",
     "build_tags_h2_model",
-    "tags_h2_pepa_metrics",
     "TagsExponential",
     "TagsHyperExponential",
     "TagsMultiNode",

@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import action_throughput, steady_state
-from repro.ctmc.bfs import bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
 
 __all__ = ["MMPP2", "TagsMMPP", "ShortestQueueMMPP"]
 
@@ -70,40 +67,8 @@ class MMPP2:
         return self.switch01 if phase == 0 else self.switch10
 
 
-class _MMPPBase:
-    """Shared plumbing: the arrival phase is state component 0."""
-
-    arrivals: MMPP2
-
-    def _build(self):
-        raise NotImplementedError
-
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            self._gen, self._states, self._index = self._build()
-            self._pi = None
-        return self._gen
-
-    @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
-
-
 @dataclass
-class TagsMMPP(_MMPPBase):
+class TagsMMPP(ChainModel):
     """Two-node TAGS (exponential service) under MMPP arrivals.
 
     State: ``(phase, q1, r1, q2, ph2, r2)`` -- the Figure 3 chain with the
@@ -158,32 +123,20 @@ class TagsMMPP(_MMPPBase):
                 out.append(("service2", mu, (phase, q1, r1, q2 - 1, 0, top)))
         return out
 
-    def _build(self):
-        initial = (0, 0, self.n - 1, 0, 0, self.n - 1)
-        return bfs_generator(initial, self._successors)
+    _node_fields = (1, 3)
+
+    def _initial(self):
+        return (0, 0, self.n - 1, 0, 0, self.n - 1)
+
+    def _tags_extra(self, timeout, service1, service2) -> dict:
+        return {"burstiness": self.arrivals.burstiness}
 
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        q1 = np.array([s[1] for s in self.states], dtype=float)
-        q2 = np.array([s[3] for s in self.states], dtype=float)
-        x1 = action_throughput(self._gen, pi, "service1")
-        x2 = action_throughput(self._gen, pi, "service2")
-        x_to = action_throughput(self._gen, pi, "timeout")
-        try:
-            loss1 = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss1 = 0.0
-        return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x1 + x2,
-            offered_load=self.arrivals.mean_rate,
-            loss_per_node=(loss1, x_to - x2),
-            extra={"n_states": self.n_states, "burstiness": self.arrivals.burstiness},
-        )
+        return self._tags_metrics(self.arrivals.mean_rate)
 
 
 @dataclass
-class ShortestQueueMMPP(_MMPPBase):
+class ShortestQueueMMPP(ChainModel):
     """JSQ over two finite queues under MMPP arrivals.
 
     State: ``(phase, n1, n2)``.
@@ -225,22 +178,12 @@ class ShortestQueueMMPP(_MMPPBase):
             out.append(("service", self.mu, (phase, n1, n2 - 1)))
         return out
 
-    def _build(self):
-        return bfs_generator((0, 0, 0), self._successors)
+    _node_fields = (1, 2)
+
+    def _initial(self):
+        return (0, 0, 0)
 
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        q1 = np.array([s[1] for s in self.states], dtype=float)
-        q2 = np.array([s[2] for s in self.states], dtype=float)
-        x = action_throughput(self._gen, pi, "service")
-        try:
-            loss = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss = 0.0
-        return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x,
-            offered_load=self.arrivals.mean_rate,
-            loss_per_node=(loss,),
-            extra={"n_states": self.n_states, "burstiness": self.arrivals.burstiness},
+        return self._router_metrics(
+            self.arrivals.mean_rate, burstiness=self.arrivals.burstiness
         )

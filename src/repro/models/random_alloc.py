@@ -71,23 +71,13 @@ class RandomAllocation:
 def build_random_pepa_model(lam1: float, lam2: float, mu1: float, mu2: float, N: int):
     """The Appendix A (Figure 13) PEPA model: ``Queue1_0 || Queue2_0``,
     two independent M/M/1/N queues with their own arrival streams."""
-    from repro.pepa import (
-        Activity,
-        Choice,
-        Constant,
-        Cooperation,
-        Model,
-        Prefix,
-        Rate,
-    )
+    from repro.models._pepa_terms import _p
+    from repro.pepa import Choice, Constant, Cooperation, Model
 
     if min(lam1, lam2, mu1, mu2) <= 0:
         raise ValueError("rates must be positive")
     if N < 1:
         raise ValueError("N must be >= 1")
-
-    def _p(action, rate, target):
-        return Prefix(Activity(action, Rate(rate)), Constant(target))
 
     defs: dict = {}
     for q, lam, mu in ((1, lam1, mu1), (2, lam2, mu2)):

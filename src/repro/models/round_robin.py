@@ -17,18 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import action_throughput, steady_state
 from repro.dists.families import HyperExponential
-from repro.ctmc.bfs import bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
 
 __all__ = ["RoundRobin"]
 
 
 @dataclass
-class RoundRobin:
+class RoundRobin(ChainModel):
     """Round-robin dispatch to two bounded homogeneous queues.
 
     A job routed to a full queue is dropped (the router still advances, as
@@ -118,53 +115,15 @@ class RoundRobin:
         return out
 
     # ------------------------------------------------------------------
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            if self._h2:
-                self._gen, self._states, self._index = bfs_generator(
-                    (0, 0, 0, 0, 0), self._successors_h2
-                )
-            else:
-                self._gen, self._states, self._index = bfs_generator(
-                    (0, 0, 0), self._successors_exp
-                )
-            self._pi = None
-        return self._gen
+    def _initial(self):
+        return (0, 0, 0, 0, 0) if self._h2 else (0, 0, 0)
+
+    def _successors(self, s):
+        return self._successors_h2(s) if self._h2 else self._successors_exp(s)
 
     @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
+    def _node_fields(self) -> tuple:
+        return (1, 3) if self._h2 else (1, 2)
 
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        if self._h2:
-            q1 = np.array([s[1] for s in self.states], dtype=float)
-            q2 = np.array([s[3] for s in self.states], dtype=float)
-        else:
-            q1 = np.array([s[1] for s in self.states], dtype=float)
-            q2 = np.array([s[2] for s in self.states], dtype=float)
-        x = action_throughput(self._gen, pi, "service")
-        try:
-            loss = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss = 0.0
-        return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x,
-            offered_load=self.lam,
-            loss_per_node=(loss,),
-            extra={"n_states": self.n_states},
-        )
+        return self._router_metrics(self.lam)

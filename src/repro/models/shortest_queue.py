@@ -16,28 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import action_throughput, steady_state
 from repro.dists.families import HyperExponential
-from repro.ctmc.bfs import bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.pepa import (
-    Activity,
-    Choice,
-    Constant,
-    Cooperation,
-    Model,
-    Prefix,
-    Rate,
-    top,
-)
+from repro.models._pepa_terms import _choice, _p
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
+from repro.pepa import Constant, Cooperation, Model, top
 
 __all__ = ["ShortestQueue", "build_jsq_pepa_model"]
 
 
 @dataclass
-class ShortestQueue:
+class ShortestQueue(ChainModel):
     """JSQ over two finite homogeneous queues.
 
     ``service`` is a float (exponential rate) or a two-phase
@@ -145,73 +134,23 @@ class ShortestQueue:
         return out
 
     # ------------------------------------------------------------------
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            if self._h2:
-                self._gen, self._states, self._index = bfs_generator(
-                    (0, 0, 0, 0), self._successors_h2
-                )
-            else:
-                self._gen, self._states, self._index = bfs_generator(
-                    (0, 0), self._successors_exp
-                )
-            self._pi = None
-        return self._gen
+    def _initial(self):
+        return (0, 0, 0, 0) if self._h2 else (0, 0)
+
+    def _successors(self, s):
+        return self._successors_h2(s) if self._h2 else self._successors_exp(s)
 
     @property
-    def states(self):
-        _ = self.generator
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        _ = self.generator
-        if self._pi is None:
-            self._pi = steady_state(self._gen)
-        return self._pi
+    def _node_fields(self) -> tuple:
+        return (0, 2) if self._h2 else (0, 1)
 
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        if self._h2:
-            q1 = np.array([s[0] for s in self.states], dtype=float)
-            q2 = np.array([s[2] for s in self.states], dtype=float)
-        else:
-            q1 = np.array([s[0] for s in self.states], dtype=float)
-            q2 = np.array([s[1] for s in self.states], dtype=float)
-        x = action_throughput(self._gen, pi, "service")
-        try:
-            loss = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss = 0.0
-        return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x,
-            offered_load=self.lam,
-            loss_per_node=(loss,),
-            extra={"n_states": self.n_states},
-        )
+        return self._router_metrics(self.lam)
 
 
 # ----------------------------------------------------------------------
 # Appendix B PEPA model
 # ----------------------------------------------------------------------
-
-def _p(action, rate, target):
-    r = rate if isinstance(rate, Rate) else Rate(rate)
-    return Prefix(Activity(action, r), Constant(target))
-
-
-def _choice(*terms):
-    comp = terms[0]
-    for t in terms[1:]:
-        comp = Choice(comp, t)
-    return comp
-
 
 def build_jsq_pepa_model(lam: float, mu: float, K: int) -> Model:
     """The Appendix B (Figure 14) PEPA model of two balanced M/M/1/K

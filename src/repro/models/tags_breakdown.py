@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ctmc import action_throughput, steady_state
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.models.tags_pepa import TagsParameters, build_tags_model
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
+from repro.models.tags_pepa import TagsParameters, _q1_len, _q2_len, build_tags_model
 from repro.pepa import (
     Activity,
     Choice,
@@ -106,8 +106,12 @@ def build_tags_breakdown_model(
     return Model(defs, system)
 
 
-@dataclass(frozen=True)
-class TagsBreakdown:
+def _breaker_up(names) -> float:
+    return 1.0 if "Avail" in names else 0.0
+
+
+@dataclass
+class TagsBreakdown(ChainModel):
     """Two-node exponential TAGS with node-2 breakdown/repair.
 
     ``fail`` / ``repair`` are the node-2 crash and repair rates (their
@@ -156,67 +160,29 @@ class TagsBreakdown:
         return self.repair / (self.fail + self.repair)
 
     # ------------------------------------------------------------------
-    def _solve(self):
-        model = self.build()
-        space = explore(model)
-        gen = to_generator(space)
-        pi = steady_state(gen)
-        return space, gen, pi
+    def _build(self):
+        space = explore(self.build())
+        return to_generator(space), space
+
+    def _populations(self) -> tuple:
+        return (self.states.state_reward(_q1_len), self.states.state_reward(_q2_len))
+
+    def _tags_extra(self, timeout, service1, service2) -> dict:
+        up = float(self.pi @ self.states.state_reward(_breaker_up))
+        return {
+            "availability": up,
+            **super()._tags_extra(timeout, service1, service2),
+        }
 
     def metrics(self) -> QueueMetrics:
         """Solve and extract the paper's metrics plus failure extras.
 
         ``extra`` carries ``availability`` (stationary probability of
         the breaker being up -- equal to the analytic ratio), the usual
-        throughput decomposition, and the state count.
+        throughput decomposition, and the state count.  Permanently
+        down, ``service2`` and ``timeout`` never fire and read as 0.
         """
-        space, gen, pi = self._solve()
-
-        def q1_len(names) -> float:
-            for nm in names:
-                if nm.startswith("Q1_"):
-                    return float(nm[3:])
-            raise AssertionError("no Q1 component in state")
-
-        def q2_len(names) -> float:
-            for nm in names:
-                if nm.startswith("Q2_"):
-                    return float(nm[3:])
-                if nm.startswith("Q2r_"):
-                    return float(nm[4:])
-            raise AssertionError("no Q2 component in state")
-
-        def up(names) -> float:
-            return 1.0 if "Avail" in names else 0.0
-
-        def throughput_of(action: str) -> float:
-            # permanently down, service2/timeout are unreachable and the
-            # generator holds no rate matrix for them: throughput is 0
-            if action not in gen.action_rates:
-                return 0.0
-            return action_throughput(gen, pi, action)
-
-        L1 = float(pi @ space.state_reward(q1_len))
-        L2 = float(pi @ space.state_reward(q2_len))
-        avail = float(pi @ space.state_reward(up))
-        x_s1 = throughput_of("service1")
-        x_s2 = throughput_of("service2")
-        x_to = throughput_of("timeout")
-        loss1 = throughput_of("arrloss")
-        loss2 = x_to - x_s2
-        return from_population_and_throughput(
-            mean_jobs_per_node=(L1, L2),
-            throughput=x_s1 + x_s2,
-            offered_load=self.lam,
-            loss_per_node=(loss1, loss2),
-            extra={
-                "n_states": space.n_states,
-                "availability": avail,
-                "timeout_throughput": x_to,
-                "service1_throughput": x_s1,
-                "service2_throughput": x_s2,
-            },
-        )
+        return self._tags_metrics(self.lam)
 
     def node1_marginal(self) -> np.ndarray:
         """Stationary distribution of the queue-1 length.
@@ -225,16 +191,6 @@ class TagsBreakdown:
         ``MM1K(lam, mu, K1).distribution()`` exactly (to solver
         tolerance): blocked timeouts make node 1 a birth-death chain.
         """
-        space, _, pi = self._solve()
-        marginal = np.zeros(self.K1 + 1)
+        q1 = self.states.state_reward(_q1_len).astype(int)
+        return np.bincount(q1, weights=self.pi, minlength=self.K1 + 1)
 
-        def add(names, p):
-            for nm in names:
-                if nm.startswith("Q1_"):
-                    marginal[int(nm[3:])] += p
-                    return
-            raise AssertionError("no Q1 component in state")
-
-        for idx in range(space.n_states):
-            add(space.local_names(idx), float(pi[idx]))
-        return marginal

@@ -37,130 +37,29 @@ faithful kill-and-restart accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ctmc import action_throughput, steady_state
+# perfbench/layers.py times the sweep path's solves by patching this
+# module-level binding; ChainModel solves through its own import
+from repro.ctmc import steady_state  # noqa: F401
+from repro.ctmc.bfs import ChainTemplate
 from repro.dists.residual import h2_residual_mixing
-from repro.ctmc.bfs import ChainTemplate, StructureMismatch, bfs_generator
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.sweep.structure import structure_cache
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
 
 __all__ = ["TagsExponential", "TagsHyperExponential", "TagsMultiNode"]
 
 
-def _templated_build(model):
-    """Build ``(generator, states, index)`` through the structure cache.
-
-    Models report the parameters that shape their reachability graph via
-    ``_structure_key()`` (``None`` opts out, e.g. unhashable custom
-    callables); rate-only parameters stay out of the key, so a sweep
-    grid explores each structure once and every further point only
-    recomputes the rate column -- vectorised when the class provides
-    ``_template_rates``, otherwise by re-enumerating ``_successors``
-    over the frozen state list.  A refill whose transition structure
-    disagrees with the template (a parameter combination the key failed
-    to anticipate) drops the entry and rebuilds from scratch.
-    """
-    key = model._structure_key()
-    initial = model._initial()
-    if key is None:
-        return bfs_generator(initial, model._successors)
-
-    def build() -> ChainTemplate:
-        return ChainTemplate.explore(initial, model._successors)
-
-    cache = structure_cache()
-    tpl = cache.get_or_build(key, build)
-    rate = model._template_rates(tpl)
-    if rate is None:
-        try:
-            rate = tpl.refill(model._successors)
-        except StructureMismatch:
-            cache.drop(key)
-            tpl = cache.get_or_build(key, build)
-            rate = tpl.rate
-    return tpl.generator(rate), tpl.states, tpl.index
-
-
-class _TagsBase:
-    """Shared solve/metrics plumbing for the direct TAGS chains."""
+class _TagsBase(ChainModel):
+    """What the direct TAGS chains share beyond :class:`ChainModel`."""
 
     lam: float
     SOLVE_ENGINE = "chain-template-v1"
 
-    def _q1_of(self, state) -> int:
-        raise NotImplementedError
-
-    def _q2_of(self, state) -> int:
-        raise NotImplementedError
-
-    def _initial(self):
-        raise NotImplementedError
-
-    def _structure_key(self):
-        """Hashable key of the structure-shaping parameters (or None)."""
-        return None
-
-    def _template_rates(self, tpl: ChainTemplate):
-        """Vectorised rate column for ``tpl``, or None for generic refill."""
-        return None
-
-    def _build(self):
-        return _templated_build(self)
-
-    def __init_solver(self) -> None:
-        self._gen, self._states, self._index = self._build()
-        self._pi = None
-
-    @property
-    def generator(self):
-        if not hasattr(self, "_gen"):
-            self.__init_solver()
-        return self._gen
-
-    @property
-    def states(self):
-        if not hasattr(self, "_gen"):
-            self.__init_solver()
-        return self._states
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        if getattr(self, "_pi", None) is None:
-            _ = self.generator
-            self._pi = steady_state(self._gen)
-        return self._pi
-
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        q1 = np.array([self._q1_of(s) for s in self.states], dtype=float)
-        q2 = np.array([self._q2_of(s) for s in self.states], dtype=float)
-        x_s1 = action_throughput(self._gen, pi, "service1")
-        x_s2 = action_throughput(self._gen, pi, "service2")
-        x_to = action_throughput(self._gen, pi, "timeout")
-        try:
-            loss1 = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss1 = 0.0
-        loss2 = x_to - x_s2
-        return from_population_and_throughput(
-            mean_jobs_per_node=(float(pi @ q1), float(pi @ q2)),
-            throughput=x_s1 + x_s2,
-            offered_load=self.lam,
-            loss_per_node=(loss1, loss2),
-            extra={
-                "n_states": self.n_states,
-                "timeout_throughput": x_to,
-                "service1_throughput": x_s1,
-                "service2_throughput": x_s2,
-            },
-        )
+        return self._tags_metrics(self.lam)
 
 
 @dataclass
@@ -211,11 +110,7 @@ class TagsExponential(_TagsBase):
                 if self.t_of_q1(q) <= 0:
                     raise ValueError(f"t_of_q1({q}) must be positive")
 
-    def _q1_of(self, s) -> int:
-        return s[0]
-
-    def _q2_of(self, s) -> int:
-        return s[2]
+    _node_fields = (0, 2)  # (q1, r1, q2, ph2, r2)
 
     def _successors(self, s):
         q1, r1, q2, ph2, r2 = s
@@ -344,11 +239,7 @@ class TagsHyperExponential(_TagsBase):
     def mean_service(self) -> float:
         return self.alpha / self.mu1 + (1 - self.alpha) / self.mu2
 
-    def _q1_of(self, s) -> int:
-        return s[0]
-
-    def _q2_of(self, s) -> int:
-        return s[3]
+    _node_fields = (0, 3)  # (q1, ph1, r1, q2, ph2, r2)
 
     def _successors(self, s):
         q1, ph1, r1, q2, ph2, r2 = s
@@ -634,25 +525,15 @@ class TagsMultiNode(_TagsBase):
         # policy determine reachability
         return (type(self).__qualname__, self.n, self.capacities)
 
+    def _populations(self) -> tuple:
+        states = self.states
+        return tuple(
+            np.array([s[i][0] for s in states], dtype=float) for i in range(self.N)
+        )
+
     def metrics(self) -> QueueMetrics:
-        pi = self.pi
-        per_node = []
-        for i in range(self.N):
-            q = np.array([s[i][0] for s in self.states], dtype=float)
-            per_node.append(float(pi @ q))
-        x_s1 = action_throughput(self._gen, pi, "service1")
-        try:
-            x_s2 = action_throughput(self._gen, pi, "service2")
-        except KeyError:
-            x_s2 = 0.0
-        try:
-            loss1 = action_throughput(self._gen, pi, "arrloss")
-        except KeyError:
-            loss1 = 0.0
-        throughput = x_s1 + x_s2
-        return from_population_and_throughput(
-            mean_jobs_per_node=tuple(per_node),
-            throughput=throughput,
+        return self._metrics(
+            throughput=self._throughput("service1") + self._throughput("service2"),
             offered_load=self.lam,
-            extra={"n_states": self.n_states, "arrival_loss": loss1},
+            arrival_loss=self._throughput("arrloss"),
         )

@@ -32,38 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ctmc import action_throughput, steady_state
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.pepa import (
-    Activity,
-    Choice,
-    Constant,
-    FluidGroup,
-    Model,
-    Prefix,
-    Rate,
-    top,
-)
+from repro.models._pepa_terms import _choice, _p
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
+from repro.pepa import Constant, FluidGroup, Model, top
 from repro.pepa.counted import CountedModel
 from repro.pepa.fluid import FluidModel
 
 __all__ = ["Figure4Model"]
 
 
-def _p(action, rate, target):
-    r = rate if isinstance(rate, Rate) else Rate(rate)
-    return Prefix(Activity(action, r), Constant(target))
-
-
-def _choice(*terms):
-    comp = terms[0]
-    for t in terms[1:]:
-        comp = Choice(comp, t)
-    return comp
-
-
 @dataclass
-class Figure4Model:
+class Figure4Model(ChainModel):
     """Per-place encoding of the two-node TAGS system."""
 
     lam: float = 5.0
@@ -149,28 +129,28 @@ class Figure4Model:
     def counted(self) -> CountedModel:
         return CountedModel(self.pepa_model(), self._groups(), self._SYNCED)
 
-    def metrics(self) -> QueueMetrics:
-        """Exact metrics of the counted quotient CTMC."""
+    def _build(self):
+        gen, states, _ = self.counted().explore()
+        return gen, states
+
+    def _populations(self) -> tuple:
         cm = self.counted()
-        gen, states, _ = cm.explore()
-        pi = steady_state(gen)
         q1 = cm.count_reward("q1_places", "Q1_1")
         q2a = cm.count_reward("q2_places", "Q2_1")
         q2b = cm.count_reward("q2_places", "Q2r")
-        L1 = float(pi @ np.array([q1(s) for s in states]))
-        L2 = float(pi @ np.array([q2a(s) + q2b(s) for s in states]))
-        x1 = action_throughput(gen, pi, "service1")
-        x2 = action_throughput(gen, pi, "service2")
-        x_arr = action_throughput(gen, pi, "arrival")
-        return from_population_and_throughput(
-            mean_jobs_per_node=(L1, L2),
-            throughput=x1 + x2,
+        states = self.states
+        return (
+            np.array([q1(s) for s in states]),
+            np.array([q2a(s) + q2b(s) for s in states]),
+        )
+
+    def metrics(self) -> QueueMetrics:
+        """Exact metrics of the counted quotient CTMC."""
+        return self._metrics(
+            throughput=self._throughput("service1") + self._throughput("service2"),
             offered_load=self.lam,
-            extra={
-                "n_states": gen.n_states,
-                "accepted_rate": x_arr,
-                "timeout_throughput": action_throughput(gen, pi, "timeout"),
-            },
+            accepted_rate=self._throughput("arrival"),
+            timeout_throughput=self._throughput("timeout"),
         )
 
     def fluid(self) -> FluidModel:

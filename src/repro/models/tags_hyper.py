@@ -31,23 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ctmc import action_throughput, steady_state
 from repro.dists.residual import h2_residual_mixing
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
-from repro.pepa import (
-    Activity,
-    Choice,
-    Constant,
-    Cooperation,
-    Model,
-    Prefix,
-    Rate,
-    explore,
-    to_generator,
-    top,
-)
+from repro.models._pepa_terms import _choice, _p
+from repro.pepa import Constant, Cooperation, Model, top
 
-__all__ = ["TagsH2Parameters", "build_tags_h2_model", "tags_h2_pepa_metrics"]
+__all__ = ["TagsH2Parameters", "build_tags_h2_model"]
 
 
 @dataclass(frozen=True)
@@ -90,18 +78,6 @@ class TagsH2Parameters:
     @property
     def mean_service(self) -> float:
         return self.alpha / self.mu1 + (1 - self.alpha) / self.mu2
-
-
-def _choice(*terms):
-    comp = terms[0]
-    for t in terms[1:]:
-        comp = Choice(comp, t)
-    return comp
-
-
-def _p(action, rate, target):
-    r = rate if isinstance(rate, Rate) else Rate(rate)
-    return Prefix(Activity(action, r), Constant(target))
 
 
 def build_tags_h2_model(params: TagsH2Parameters) -> Model:
@@ -229,45 +205,3 @@ def build_tags_h2_model(params: TagsH2Parameters) -> Model:
     )
     system = Cooperation(node1, node2, frozenset({"timeout"}))
     return Model(defs, system)
-
-
-def tags_h2_pepa_metrics(params: TagsH2Parameters) -> QueueMetrics:
-    """Explore, solve and extract metrics from the Figure 5 model."""
-    model = build_tags_h2_model(params)
-    space = explore(model)
-    gen = to_generator(space)
-    pi = steady_state(gen)
-
-    def q1_len(names) -> float:
-        for nm in names:
-            if nm.startswith("Q1_") or nm.startswith("Q1p_"):
-                return float(nm.split("_", 1)[1])
-        raise AssertionError("no Q1 component in state")
-
-    def q2_len(names) -> float:
-        for nm in names:
-            if nm.startswith(("Q2_", "Q2s_", "Q2l_")):
-                return float(nm.split("_", 1)[1])
-        raise AssertionError("no Q2 component in state")
-
-    L1 = float(pi @ space.state_reward(q1_len))
-    L2 = float(pi @ space.state_reward(q2_len))
-    x_s1 = action_throughput(gen, pi, "service1")
-    x_s2 = action_throughput(gen, pi, "service2")
-    x_to = action_throughput(gen, pi, "timeout")
-    try:
-        loss1 = action_throughput(gen, pi, "arrloss")
-    except KeyError:
-        loss1 = 0.0
-    loss2 = x_to - x_s2
-    return from_population_and_throughput(
-        mean_jobs_per_node=(L1, L2),
-        throughput=x_s1 + x_s2,
-        offered_load=params.lam,
-        loss_per_node=(loss1, loss2),
-        extra={
-            "n_states": space.n_states,
-            "timeout_throughput": x_to,
-            "alpha_prime": params.resolved_alpha_prime,
-        },
-    )

@@ -45,32 +45,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.ctmc import (
-    action_throughput,
-    steady_state,
-)
-from repro.pepa import (
-    Activity,
-    Choice,
-    Constant,
-    Cooperation,
-    Model,
-    Prefix,
-    Rate,
-    explore,
-    to_generator,
-    top,
-)
-from repro.models.metrics import QueueMetrics, from_population_and_throughput
+# perfbench/layers.py times the sweep path's solves by patching this
+# module-level binding; ChainModel solves through its own import
+from repro.ctmc import steady_state  # noqa: F401
+from repro.models._pepa_terms import _choice, _p
+from repro.models.chain import ChainModel
+from repro.models.metrics import QueueMetrics
+from repro.pepa import Constant, Cooperation, Model, top
 from repro.sweep.structure import structure_cache
 
 __all__ = [
     "TagsParameters",
     "TagsPepa",
     "build_tags_model",
-    "tags_pepa_metrics",
 ]
 
 
@@ -102,18 +89,6 @@ class TagsParameters:
     def mean_timeout(self) -> float:
         """Mean total timeout duration (n Erlang phases at rate t)."""
         return self.n / self.t
-
-
-def _choice(*terms):
-    comp = terms[0]
-    for t in terms[1:]:
-        comp = Choice(comp, t)
-    return comp
-
-
-def _p(action, rate, target):
-    r = rate if isinstance(rate, Rate) else Rate(rate)
-    return Prefix(Activity(action, r), Constant(target))
 
 
 def build_tags_model(params: TagsParameters) -> Model:
@@ -218,46 +193,13 @@ def _q2_len(names) -> float:
     raise AssertionError("no Q2 component in state")
 
 
-def tags_pepa_metrics(params: TagsParameters) -> QueueMetrics:
-    """Explore, solve and extract the paper's metrics from the Figure 3
-    model."""
-    model = build_tags_model(params)
-    space = explore(model)
-    gen = to_generator(space)
-    pi = steady_state(gen)
-
-    q1_len, q2_len = _q1_len, _q2_len
-
-    L1 = float(pi @ space.state_reward(q1_len))
-    L2 = float(pi @ space.state_reward(q2_len))
-    x_s1 = action_throughput(gen, pi, "service1")
-    x_s2 = action_throughput(gen, pi, "service2")
-    x_to = action_throughput(gen, pi, "timeout")
-    loss1 = action_throughput(gen, pi, "arrloss")
-    # flow balance at node 2: entries = timeouts that found space = service2
-    loss2 = x_to - x_s2
-    return from_population_and_throughput(
-        mean_jobs_per_node=(L1, L2),
-        throughput=x_s1 + x_s2,
-        offered_load=params.lam,
-        loss_per_node=(loss1, loss2),
-        extra={
-            "n_states": space.n_states,
-            "timeout_throughput": x_to,
-            "service1_throughput": x_s1,
-            "service2_throughput": x_s2,
-        },
-    )
-
-
 @dataclass
-class TagsPepa:
+class TagsPepa(ChainModel):
     """Sweepable Figure 3 PEPA model on the compiled engine.
 
-    Same parameters and metrics as :func:`tags_pepa_metrics`, packaged
-    as a model class the sweep engine can drive -- and wired to the
-    structure cache: the first instance of an ``(n, K1, K2,
-    tick_during_residual)`` shape pays one compile + vectorized
+    The Figure 3 model packaged as a class the sweep engine can drive,
+    wired to the structure cache: the first instance of an ``(n, K1,
+    K2, tick_during_residual)`` shape pays one compile + vectorized
     exploration (:mod:`repro.pepa.compiled`); every further rate point
     (lambda, mu, t) refills the cached
     :class:`~repro.pepa.compiled.CompiledSpace`'s rate column in ~a
@@ -265,9 +207,8 @@ class TagsPepa:
     never alter reachability and the refill's structural congruence
     check always passes for a correct key.
 
-    ``SOLVE_ENGINE`` tags the sweep solve cache (satellite of the same
-    PR): entries computed here never collide with interpreter-path
-    records from earlier releases.
+    ``SOLVE_ENGINE`` tags the sweep solve cache: entries computed here
+    never collide with interpreter-path records from earlier releases.
     """
 
     lam: float = 5.0
@@ -298,12 +239,12 @@ class TagsPepa:
         return build_tags_model(self.params())
 
     # ------------------------------------------------------------------
-    def _space(self):
+    def _build(self):
         """Structure-cached compiled space, refilled with *this* model's
-        rates.  The cache entry is shared; callers must assemble what
-        they need (generator, rewards) before the next refill."""
-        if getattr(self, "_space_memo", None) is not None:
-            return self._space_memo
+        rates.  The cache entry is shared, so the generator is assembled
+        here, before a later instance can refill it; the rewards
+        :meth:`_populations` reads depend on state names only, which a
+        refill never changes."""
         from repro.pepa.compiled import TemplateMismatch, compile_model
 
         key = (
@@ -326,45 +267,10 @@ class TagsPepa:
             except TemplateMismatch:
                 cache.drop(key)
                 space = cache.get_or_build(key, build_space)
-        self._space_memo = space
-        return space
+        return space.generator(), space
 
-    @property
-    def generator(self):
-        if getattr(self, "_gen", None) is None:
-            self._gen = self._space().generator()
-        return self._gen
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.n_states
-
-    @property
-    def pi(self) -> np.ndarray:
-        if getattr(self, "_pi", None) is None:
-            self._pi = steady_state(self.generator)
-        return self._pi
+    def _populations(self) -> tuple:
+        return (self.states.state_reward(_q1_len), self.states.state_reward(_q2_len))
 
     def metrics(self) -> QueueMetrics:
-        gen = self.generator
-        pi = self.pi
-        space = self._space()
-        L1 = float(pi @ space.state_reward(_q1_len))
-        L2 = float(pi @ space.state_reward(_q2_len))
-        x_s1 = action_throughput(gen, pi, "service1")
-        x_s2 = action_throughput(gen, pi, "service2")
-        x_to = action_throughput(gen, pi, "timeout")
-        loss1 = action_throughput(gen, pi, "arrloss")
-        loss2 = x_to - x_s2
-        return from_population_and_throughput(
-            mean_jobs_per_node=(L1, L2),
-            throughput=x_s1 + x_s2,
-            offered_load=self.lam,
-            loss_per_node=(loss1, loss2),
-            extra={
-                "n_states": space.n_states,
-                "timeout_throughput": x_to,
-                "service1_throughput": x_s1,
-                "service2_throughput": x_s2,
-            },
-        )
+        return self._tags_metrics(self.lam)

@@ -72,9 +72,11 @@ def solve_point(
     """Solve one parameter point and return a cacheable record.
 
     ``model_cls(**params)`` must yield an object with ``.metrics()``.
-    Models exposing a ``generator`` (the direct CTMC constructions) are
-    solved through :func:`~repro.ctmc.steady.steady_state` with the given
-    method/tolerance and optional warm start; closed-form models (e.g.
+    Models exposing a ``generator`` (the CTMC models, see
+    :class:`~repro.models.chain.ChainModel`) are solved through
+    :func:`~repro.ctmc.steady.steady_state` with the given
+    method/tolerance and optional warm start, and the solved vector is
+    handed to their ``_pi`` slot before ``metrics()``; closed-form models (e.g.
     :class:`~repro.models.random_alloc.RandomAllocation`) simply have
     their metrics evaluated.
 
@@ -100,7 +102,7 @@ def solve_point(
         pi0 = None
     info: dict = {}
     pi = steady_state(gen, method=method, tol=tol, pi0=pi0, info=info)
-    model._pi = pi  # models lazily solve via .pi; hand them ours
+    model._pi = pi  # ChainModel's solved-vector slot: metrics() reuses it
     metrics = model.metrics()
     return SolveRecord(
         pi=pi,

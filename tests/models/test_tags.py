@@ -4,15 +4,11 @@ count, structural invariants and limiting behaviours."""
 import numpy as np
 import pytest
 
-from repro.models import (
-    TagsExponential,
-    TagsHyperExponential,
-    build_tags_model,
-    tags_pepa_metrics,
-)
+from repro.models import TagsExponential, TagsHyperExponential, build_tags_model
 from repro.models.tags_pepa import TagsParameters
-from repro.models.tags_hyper import TagsH2Parameters, tags_h2_pepa_metrics
+from repro.models.tags_hyper import TagsH2Parameters
 from repro.pepa import check_model, explore
+from tests.models._pepa_oracle import tags_h2_pepa_metrics, tags_pepa_metrics
 
 
 class TestStateSpace:

@@ -14,6 +14,7 @@ Figure 3 model.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.models import MM1K, TagsBreakdown, TagsExponential
 
 # small state space keeps the whole module fast
@@ -73,3 +74,27 @@ class TestStructure:
             TagsBreakdown(fail=0.0, repair=0.05, **SMALL).build()
         with pytest.raises(ValueError, match="rates"):
             TagsBreakdown(fail=0.01, repair=-1.0, **SMALL).build()
+
+
+class TestSolveOnce:
+    def test_metrics_and_marginal_share_one_build_and_solve(self):
+        """The chain is explored and solved once per instance, however
+        many measures are read from it."""
+        model = TagsBreakdown(fail=0.02, repair=0.1, **SMALL)
+        with obs.use(obs.Recorder()) as rec:
+            model.metrics()
+            model.node1_marginal()
+        assert len(rec.find_spans("pepa.explore.fast")) == 1
+        assert len(rec.find_spans("steady_state")) == 1
+
+    def test_node1_marginal_matches_per_state_sum(self):
+        """The vectorised marginal adds the same terms in the same order
+        as a loop over states, so the two agree exactly."""
+        model = TagsBreakdown(fail=0.02, repair=0.1, **SMALL)
+        space, pi = model.states, model.pi
+        expect = np.zeros(SMALL["K1"] + 1)
+        for i in range(space.n_states):
+            names = space.local_names(i)
+            q1 = next(int(nm[3:]) for nm in names if nm.startswith("Q1_"))
+            expect[q1] += pi[i]
+        np.testing.assert_array_equal(model.node1_marginal(), expect)

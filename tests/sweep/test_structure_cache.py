@@ -18,10 +18,10 @@ from repro.models import (
     TagsHyperExponential,
     TagsMultiNode,
     TagsPepa,
-    tags_pepa_metrics,
 )
 from repro.models.tags_pepa import TagsParameters
 from repro.sweep import StructureCache, SweepEngine, structure_cache
+from tests.models._pepa_oracle import tags_pepa_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -204,8 +204,9 @@ class TestPepaSweepIntegration:
         assert rec.counter_total("template.refill.points") == len(self.GRID) - 1
 
     def test_metrics_match_interpreter_pipeline(self):
-        """TagsPepa (compiled + templates) == tags_pepa_metrics (full
-        interpreter + scratch assembly), exactly."""
+        """TagsPepa (cached compiled space refilled per point) ==
+        tags_pepa_metrics (a scratch build: fresh explore, fresh
+        generator assembly, fresh solve), exactly."""
         for point in (self.GRID[0], self.GRID[-1]):
             fast = TagsPepa(**point).metrics()
             slow = tags_pepa_metrics(TagsParameters(**point))
