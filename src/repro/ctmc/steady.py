@@ -186,10 +186,11 @@ def steady_state(
         ``direct``) ignore it, since they do not iterate.  Validated
         before use: wrong length or negative entries raise ``ValueError``.
     info :
-        Optional dict the solver fills with diagnostics: ``method`` always,
-        ``iterations`` for the iterative methods, ``warm_started`` when a
-        ``pi0`` was actually consumed, ``residual`` (``max |pi Q|``) when
-        ``direct`` solved, and -- in ``"auto"`` mode --
+        Optional dict the solver fills with diagnostics: ``method`` and
+        the achieved ``residual`` (``max |pi Q|`` of the returned vector,
+        0.0 for a one-state chain) always, ``iterations`` for the
+        iterative methods, ``warm_started`` when a ``pi0`` was actually
+        consumed, and -- in ``"auto"`` mode --
         ``fallbacks``, a list of ``{"method", "error"}`` records for every
         solver that failed before one succeeded (empty on a first-try
         solve).
@@ -199,7 +200,9 @@ def steady_state(
     if n == 0:
         raise SteadyStateError("empty chain")
     if n == 1:
-        _record_info(info, method=method, iterations=0, warm_started=False)
+        _record_info(
+            info, method=method, iterations=0, warm_started=False, residual=0.0
+        )
         return np.ones(1)
     solvers = {
         "gth": steady_state_gth,
@@ -213,9 +216,7 @@ def steady_state(
         if m in ITERATIVE_METHODS:
             return solvers[m](Q, tol=tol, pi0=pi0, info=info)
         _record_info(info, method=m, iterations=None, warm_started=False)
-        if m == "direct":
-            return solvers[m](Q, tol=tol, info=info)
-        return solvers[m](Q, tol=tol)
+        return solvers[m](Q, tol=tol, info=info)
 
     if method == "auto":
         chain = (
@@ -248,11 +249,14 @@ def steady_state(
     return run(method)
 
 
-def steady_state_gth(generator, tol: float = 1e-8) -> np.ndarray:
+def steady_state_gth(
+    generator, tol: float = 1e-8, info: dict | None = None
+) -> np.ndarray:
     """GTH elimination (subtraction-free state reduction).
 
     Numerically the most robust option; O(n^3) time and dense O(n^2)
-    storage, so only suitable for small chains.
+    storage, so only suitable for small chains.  ``info``, when given,
+    receives the achieved ``residual`` ``max |pi Q|``.
     """
     Q = _as_Q(generator)
     n = Q.shape[0]
@@ -284,7 +288,8 @@ def steady_state_gth(generator, tol: float = 1e-8) -> np.ndarray:
     pi[0] = 1.0
     for k in range(1, n):
         pi[k] = (pi[:k] @ A[:k, k]) / s_elim[k]
-    pi, _ = _check_result(pi, Q, tol)
+    pi, residual = _check_result(pi, Q, tol)
+    _record_info(info, residual=residual)
     if rec.enabled:
         rec.record_span(
             "steady_state", t0, time.perf_counter() - t0, method="gth", n=n
@@ -417,7 +422,8 @@ def steady_state_power(
             f"achieved residual {residual:g}"
         )
     _record_info(info, method="power", iterations=it, warm_started=pi0 is not None)
-    pi, _ = _check_result(pi, Q, tol)
+    pi, residual = _check_result(pi, Q, tol)
+    _record_info(info, residual=residual)
     if rec.enabled:
         rec.record_span(
             "steady_state",
@@ -482,7 +488,8 @@ def steady_state_gauss_seidel(
     _record_info(
         info, method="gauss_seidel", iterations=it, warm_started=pi0 is not None
     )
-    x, _ = _check_result(x, Q, tol)
+    x, residual = _check_result(x, Q, tol)
+    _record_info(info, residual=residual)
     if rec.enabled:
         rec.record_span(
             "steady_state",
@@ -552,7 +559,8 @@ def steady_state_gmres(
     _record_info(
         info, method="gmres", iterations=iters[0], warm_started=pi0 is not None
     )
-    x, _ = _check_result(x, Q, tol)
+    x, residual = _check_result(x, Q, tol)
+    _record_info(info, residual=residual)
     if rec.enabled:
         rec.record_span(
             "steady_state",

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.models.chain import ChainModel
 from repro.models.metrics import QueueMetrics
+from repro.models.tags_direct import figure3_rules
 
 __all__ = ["MMPP2", "TagsMMPP", "ShortestQueueMMPP"]
 
@@ -72,7 +73,8 @@ class TagsMMPP(ChainModel):
     """Two-node TAGS (exponential service) under MMPP arrivals.
 
     State: ``(phase, q1, r1, q2, ph2, r2)`` -- the Figure 3 chain with the
-    modulating phase prepended.
+    modulating phase prepended: :func:`~repro.models.tags_direct.
+    figure3_rules` at the phase's arrival rate, plus the phase ``switch``.
     """
 
     arrivals: MMPP2 = None
@@ -91,37 +93,14 @@ class TagsMMPP(ChainModel):
             raise ValueError("n, K1, K2 must be >= 1")
 
     def _successors(self, s):
-        phase, q1, r1, q2, ph2, r2 = s
-        mu, t, n = self.mu, self.t, self.n
-        lam = self.arrivals.rate(phase)
-        out = [("switch", self.arrivals.switch(phase),
-                (1 - phase, q1, r1, q2, ph2, r2))]
-        top = n - 1
-        if lam > 0:
-            if q1 < self.K1:
-                out.append(("arrival", lam, (phase, q1 + 1, r1, q2, ph2, r2)))
-            else:
-                out.append(("arrloss", lam, s))
-        if q1 >= 1:
-            out.append(("service1", mu, (phase, q1 - 1, top, q2, ph2, r2)))
-            if r1 >= 1:
-                out.append(("tick1", t, (phase, q1, r1 - 1, q2, ph2, r2)))
-            else:
-                if q2 < self.K2:
-                    out.append(
-                        ("timeout", t, (phase, q1 - 1, top, q2 + 1, ph2, r2))
-                    )
-                else:
-                    out.append(("timeout", t, (phase, q1 - 1, top, q2, ph2, r2)))
-        if q2 >= 1:
-            if ph2 == 0:
-                if r2 >= 1:
-                    out.append(("tick2", t, (phase, q1, r1, q2, 0, r2 - 1)))
-                else:
-                    out.append(("repeatservice", t, (phase, q1, r1, q2, 1, top)))
-            else:
-                out.append(("service2", mu, (phase, q1, r1, q2 - 1, 0, top)))
-        return out
+        phase, node = s[0], s[1:]
+        mu, t = self.mu, self.t
+        rules = figure3_rules(
+            node, self.arrivals.rate(phase), mu, t, t, mu, self.n, self.K1, self.K2
+        )
+        return [("switch", self.arrivals.switch(phase), (1 - phase,) + node)] + [
+            (action, rate, (phase,) + nxt) for action, rate, nxt in rules
+        ]
 
     _node_fields = (1, 3)
 

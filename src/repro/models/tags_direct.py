@@ -52,6 +52,54 @@ from repro.models.metrics import QueueMetrics
 __all__ = ["TagsExponential", "TagsHyperExponential", "TagsMultiNode"]
 
 
+def figure3_rules(
+    s, lam, mu, t1, t2, mu2, n, K1, K2, restart_work=True, tick_during_residual=False
+) -> list:
+    """The Figure 3 transitions out of ``s = (q1, r1, q2, ph2, r2)``.
+
+    ``lam`` is the arrival rate in force at ``s`` and ``t1`` the node-1
+    clock rate; ``t2`` and ``mu2`` are node 2's repeat-clock and service
+    rates.  The rules never check ``lam``: a zero arrival rate (an off
+    MMPP phase) emits zero-rate ``arrival``/``arrloss`` entries, which
+    :func:`~repro.ctmc.bfs.bfs_arrays` skips.
+    """
+    q1, r1, q2, ph2, r2 = s
+    out = []
+    # node 1
+    if q1 < K1:
+        out.append(("arrival", lam, (q1 + 1, r1, q2, ph2, r2)))
+    else:
+        out.append(("arrloss", lam, s))
+    top = n - 1  # timer reset value (n Erlang phases: n-1 .. 0)
+    if q1 >= 1:
+        out.append(("service1", mu, (q1 - 1, top, q2, ph2, r2)))
+        if r1 >= 1:
+            out.append(("tick1", t1, (q1, r1 - 1, q2, ph2, r2)))
+        else:  # r1 == 0: the timeout fires
+            if q2 < K2:
+                out.append(("timeout", t1, (q1 - 1, top, q2 + 1, ph2, r2)))
+            else:
+                out.append(("timeout", t1, (q1 - 1, top, q2, ph2, r2)))
+    # node 2
+    if q2 >= 1:
+        if not restart_work:
+            # resume/migrate semantics: no repeat phase -- the job's
+            # memoryless residual is served directly (state keeps
+            # ph2 = 1, r2 = top so the encoding stays uniform)
+            out.append(("service2", mu2, (q1, r1, q2 - 1, 1, top)))
+        elif ph2 == 0:  # repeat phase
+            if r2 >= 1:
+                out.append(("tick2", t2, (q1, r1, q2, 0, r2 - 1)))
+            else:
+                out.append(("repeatservice", t2, (q1, r1, q2, 1, top)))
+        else:  # residual service
+            if tick_during_residual and r2 >= 1:
+                out.append(("tick2", t2, (q1, r1, q2, 1, r2 - 1)))
+            new_r2 = top if not tick_during_residual else r2
+            out.append(("service2", mu2, (q1, r1, q2 - 1, 0, new_r2)))
+    return out
+
+
 class _TagsBase(ChainModel):
     """What the direct TAGS chains share beyond :class:`ChainModel`."""
 
@@ -113,45 +161,13 @@ class TagsExponential(_TagsBase):
     _node_fields = (0, 2)  # (q1, r1, q2, ph2, r2)
 
     def _successors(self, s):
-        q1, r1, q2, ph2, r2 = s
-        lam, mu, n = self.lam, self.mu, self.n
-        t1 = self.t if self.t_of_q1 is None else float(self.t_of_q1(q1))
+        t1 = self.t if self.t_of_q1 is None else float(self.t_of_q1(s[0]))
         t2 = self.t if self.t2 is None else self.t2
         mu2 = self.mu if self.mu2_service is None else self.mu2_service
-        out = []
-        # node 1
-        if q1 < self.K1:
-            out.append(("arrival", lam, (q1 + 1, r1, q2, ph2, r2)))
-        else:
-            out.append(("arrloss", lam, s))
-        top = n - 1  # timer reset value (n Erlang phases: n-1 .. 0)
-        if q1 >= 1:
-            out.append(("service1", mu, (q1 - 1, top, q2, ph2, r2)))
-            if r1 >= 1:
-                out.append(("tick1", t1, (q1, r1 - 1, q2, ph2, r2)))
-            else:  # r1 == 0: the timeout fires
-                if q2 < self.K2:
-                    out.append(("timeout", t1, (q1 - 1, top, q2 + 1, ph2, r2)))
-                else:
-                    out.append(("timeout", t1, (q1 - 1, top, q2, ph2, r2)))
-        # node 2
-        if q2 >= 1:
-            if not self.restart_work:
-                # resume/migrate semantics: no repeat phase -- the job's
-                # memoryless residual is served directly (state keeps
-                # ph2 = 1, r2 = top so the encoding stays uniform)
-                out.append(("service2", mu2, (q1, r1, q2 - 1, 1, top)))
-            elif ph2 == 0:  # repeat phase
-                if r2 >= 1:
-                    out.append(("tick2", t2, (q1, r1, q2, 0, r2 - 1)))
-                else:
-                    out.append(("repeatservice", t2, (q1, r1, q2, 1, top)))
-            else:  # residual service
-                if self.tick_during_residual and r2 >= 1:
-                    out.append(("tick2", t2, (q1, r1, q2, 1, r2 - 1)))
-                new_r2 = top if not self.tick_during_residual else r2
-                out.append(("service2", mu2, (q1, r1, q2 - 1, 0, new_r2)))
-        return out
+        return figure3_rules(
+            s, self.lam, self.mu, t1, t2, mu2, self.n, self.K1, self.K2,
+            self.restart_work, self.tick_during_residual,
+        )
 
     def _initial(self):
         ph0 = 0 if self.restart_work else 1

@@ -228,8 +228,12 @@ def replicate_until(
         raise ValueError("rel_half_width must be positive")
     if min_reps < 2:
         raise ValueError("need at least two replications for a CI")
+    if max_reps < min_reps:
+        raise ValueError(f"max_reps ({max_reps}) is below min_reps ({min_reps})")
     rec = obs.recorder()
     values: list = []
+    # max_reps >= min_reps, so the last replication always reaches the
+    # interval below and the loop never ends without one
     for rep in range(max_reps):
         with rec.span("sim.replication", rep=rep):
             res = make_simulation(rep).run(t_end, warmup)
@@ -241,9 +245,5 @@ def replicate_until(
         se = float(arr.std(ddof=1)) / np.sqrt(len(arr))
         half = float(t_dist.ppf(0.5 + confidence / 2, len(arr) - 1)) * se
         if mean != 0 and half / abs(mean) <= rel_half_width:
-            return mean, half, len(values)
-    arr = np.asarray(values)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1)) / np.sqrt(len(arr))
-    half = float(t_dist.ppf(0.5 + confidence / 2, len(arr) - 1)) * se
+            break
     return mean, half, len(values)

@@ -4,9 +4,9 @@ A solve is identified by a **stable hash** of ``(model class, constructor
 parameters, solver method, tolerance)`` -- not by object identity -- so the
 same parameter point is recognised across figure functions, optimiser
 probes, processes and (with the disk layer) interpreter runs.  The cached
-value is a :class:`SolveRecord`: the stationary vector (for warm-starting
-neighbouring solves) plus the derived :class:`~repro.models.metrics.
-QueueMetrics` and solver diagnostics.
+value is a :class:`SolveRecord`: the derived :class:`~repro.models.
+metrics.QueueMetrics` and solver diagnostics.  The stationary vector is
+not kept: nothing downstream of a solve reads it.
 
 Two layers:
 
@@ -109,15 +109,13 @@ def cache_key(
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """One cached solve: stationary vector, metrics and diagnostics."""
+    """One cached solve: metrics and solver diagnostics."""
 
-    pi: "np.ndarray | None"
     metrics: object
     method: str
     iterations: "int | None"
     residual: float
     wall_time: float
-    warm_started: bool = False
 
 
 @dataclass

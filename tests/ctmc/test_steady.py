@@ -85,6 +85,24 @@ class TestDispatch:
         )
 
 
+@pytest.mark.parametrize(
+    "method", ["auto", "gth", "direct", "power", "gauss_seidel", "gmres"]
+)
+class TestResidualReported:
+    """Every solve reports the residual of the vector it returns."""
+
+    def test_residual_is_max_abs_pi_q(self, method):
+        g = birth_death(2.0, 5.0, 10)
+        info = {}
+        pi = steady_state(g, method, info=info)
+        assert info["residual"] == float(np.abs(pi @ g.Q).max())
+
+    def test_single_state_residual_is_zero(self, method):
+        info = {}
+        pi = steady_state(np.zeros((1, 1)), method, info=info)
+        assert info["residual"] == 0.0 == float(np.abs(pi @ np.zeros((1, 1))).max())
+
+
 class TestFailureModes:
     def test_reducible_chain_gth_raises(self):
         # state 1 absorbing: not irreducible

@@ -58,3 +58,10 @@ class TestReplicateUntil:
             replicate_until(make, rel_half_width=0.0)
         with pytest.raises(ValueError):
             replicate_until(make, min_reps=1)
+
+    @pytest.mark.parametrize("max_reps", [1, 3])
+    def test_max_reps_below_min_reps_raises(self, max_reps):
+        """A cap under the minimum cannot give a CI over ``min_reps``
+        replications (at one it gives a NaN half-width)."""
+        with pytest.raises(ValueError, match="max_reps"):
+            replicate_until(make, min_reps=4, max_reps=max_reps)

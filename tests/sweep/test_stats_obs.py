@@ -8,6 +8,8 @@ per-point wall times must be the span durations, and events produced in
 pool workers must surface in the parent recorder.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import obs
@@ -28,19 +30,18 @@ class TestFromSpan:
         span = obs.SpanRecord(
             name="sweep.point", t0=1.0, duration=0.25,
             attrs=dict(index=3, key="k", method="gth", cache_hit=False,
-                       warm_started=True, iterations=17, residual=1e-9),
+                       iterations=17, residual=1e-9),
         )
         stats = PointStats.from_span(span)
         assert stats == PointStats(
             index=3, key="k", method="gth", cache_hit=False,
-            warm_started=True, iterations=17, residual=1e-9, wall_time=0.25,
+            iterations=17, residual=1e-9, wall_time=0.25,
         )
 
     def test_optional_fields_default(self):
         span = obs.SpanRecord(
             name="sweep.point", t0=0.0, duration=0.0,
-            attrs=dict(index=0, method="gth", cache_hit=True,
-                       warm_started=False, residual=0.0),
+            attrs=dict(index=0, method="gth", cache_hit=True, residual=0.0),
         )
         stats = PointStats.from_span(span)
         assert stats.key is None and stats.iterations is None
@@ -109,6 +110,31 @@ class TestSummaryMatchesCounters:
         assert (miss.cache_hit, hit.cache_hit) == (False, True)
         assert rec.counter("sweep.cache.miss") == 1
         assert rec.counter("sweep.cache.hit") == 1
+
+
+class TestSolveIsOnePointSweep:
+    def test_point_span_nests_under_one_point_sweep(self):
+        with obs.use(obs.Recorder()) as rec:
+            SweepEngine().solve(TagsExponential, dict(PARAMS, t=50.0))
+        (sweep,) = rec.find_spans("sweep")
+        (point,) = rec.find_spans("sweep.point")
+        assert sweep.attrs["points"] == 1
+        assert point.parent_id == sweep.span_id
+
+    @pytest.mark.parametrize("hit", [False, True])
+    def test_matches_sweep_of_one(self, hit):
+        params = dict(PARAMS, t=50.0)
+        one, many = SweepEngine(), SweepEngine()
+        if hit:
+            one.solve(TagsExponential, params)
+            many.sweep(TagsExponential, [params])
+        metrics, stats = one.solve(TagsExponential, params)
+        result = many.sweep(TagsExponential, [params])
+        assert stats.cache_hit is hit
+        assert metrics == result.metrics[0]
+        assert dataclasses.replace(stats, wall_time=0.0) == dataclasses.replace(
+            result.stats[0], wall_time=0.0
+        )
 
 
 class TestWorkerAggregation:
